@@ -27,8 +27,8 @@ from .occupancy import (ControlPolicy, HvacSchedule, OccupancyConfusion,
 from .split import (RatioReport, SplitAssignment, SplitFractions,
                     stratified_split, stratum_counts, verify_ratio)
 from .synth import (DatasetSpec, HeadSpec, Scenario, SceneSpec,
-                    generate_dataset, generate_scene, oracle_match,
-                    plan_dataset, render_frame)
+                    generate_dataset, generate_scene, plan_dataset,
+                    render_frame)
 
 __version__ = "0.1.0"
 

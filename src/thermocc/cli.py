@@ -30,6 +30,7 @@ from .split import (DEFAULT_FRACTIONS, SplitFractions, stratified_split,
                     verify_ratio)
 from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                     MIXED_SCENARIOS, DatasetSpec, generate_dataset)
+from .util import make_dirs, write_text
 
 
 class _UsageError(Exception):
@@ -70,9 +71,11 @@ def _scenarios(name: str):
     return FRONTAL_SCENARIOS if name == "frontal" else MIXED_SCENARIOS
 
 
-def _write_split(records, manifest_path: str, assignment, out_dir: str) -> dict:
-    """Write per-subset manifests with paths rebased onto out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+def _write_split(records, manifest_path: str, fractions: str, seed: int,
+                 out_dir: str):
+    """Split stage: subset manifests rebased onto out_dir, ratio report."""
+    assignment = stratified_split(records, _parse_fractions(fractions), seed)
+    make_dirs(out_dir)
     out_abs = os.path.abspath(out_dir)
     paths = {}
     for name, indices in assignment.subsets().items():
@@ -87,7 +90,10 @@ def _write_split(records, manifest_path: str, assignment, out_dir: str) -> dict:
                 labels=labels, occupied=rec.occupied, ts=rec.ts))
         paths[name] = os.path.join(out_dir, f"{name}.jsonl")
         write_manifest(paths[name], subset)
-    return paths
+    report = verify_ratio(assignment, records)
+    write_text(os.path.join(out_dir, "ratio_report.json"),
+               json.dumps(report.to_dict(), indent=2) + "\n")
+    return paths, report
 
 
 def _write_predictions(records, manifest_path: str, out_dir: str,
@@ -96,22 +102,35 @@ def _write_predictions(records, manifest_path: str, out_dir: str,
     if len(set(names)) != len(names):
         raise ConfigError("manifest contains duplicate frame stems")
     detections = detect_manifest(records, manifest_path, config, threads)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     for name, dets in zip(names, detections):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(serialize_predictions(dets))
+        write_text(os.path.join(out_dir, name), serialize_predictions(dets))
 
 
-def _timelines(records, manifest_path: str, preds_dir: str, tau: float):
-    """Actual and detected occupancy timelines from a prediction dir."""
+def _report_missing_predictions(missing: int, total: int,
+                                preds_dir: str) -> None:
+    if missing:
+        print(f"{missing} of {total} frames have no prediction file "
+              f"under {preds_dir}; they count as having no detections")
+
+
+def _occupancy(records, manifest_path: str, preds_dir: str, args,
+               out_dir: str):
+    """Occupancy stage: timelines, confusion and HVAC schedule CSVs."""
     actual = manifest_timeline(records)
-    samples = load_samples(records, preds_dir, manifest_path)
+    samples, missing = load_samples(records, preds_dir, manifest_path)
+    _report_missing_predictions(missing, len(records), preds_dir)
     pairs = sorted(zip((r.ts for r in records), (s[0] for s in samples)),
                    key=lambda p: p[0])
     detected = detection_timeline([ts for ts, _ in pairs],
-                                  [preds for _, preds in pairs], tau)
-    return actual, detected
+                                  [preds for _, preds in pairs], args.tau)
+    confusion = compare(actual, detected)
+    policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
+    schedule = simulate_control(detected, policy)
+    make_dirs(out_dir)
+    write_timeline_csv(os.path.join(out_dir, "timeline.csv"), actual, detected)
+    write_schedule_csv(os.path.join(out_dir, "schedule.csv"), schedule)
+    return actual, detected, confusion, schedule
 
 
 def cmd_synth(args) -> int:
@@ -131,13 +150,8 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     records = read_manifest(args.manifest)
-    fractions = _parse_fractions(args.fractions)
-    assignment = stratified_split(records, fractions, args.seed)
-    _write_split(records, args.manifest, assignment, args.out)
-    report = verify_ratio(assignment, records)
-    report_path = os.path.join(args.out, "ratio_report.json")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    _, report = _write_split(records, args.manifest, args.fractions,
+                             args.seed, args.out)
     for name, stats in report.subsets.items():
         ratio = "inf" if stats.ratio == float("inf") else f"{stats.ratio:.3f}"
         print(f"{name}: {stats.total} frames ({stats.occupied} occupied / "
@@ -160,9 +174,9 @@ def cmd_eval(args) -> int:
     report = evaluate(records, args.preds, args.manifest,
                       operating_tau=args.tau, width=args.width,
                       height=args.height)
+    _report_missing_predictions(report.missing_preds, len(records), args.preds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json())
+        write_text(args.out, report.to_json())
     print(f"precision {report.precision:.3f}  recall {report.recall:.3f}  "
           f"mAP50 {report.map50:.3f}  mAP50-95 {report.map50_95:.3f}  "
           f"(tau {report.operating_tau})")
@@ -171,17 +185,10 @@ def cmd_eval(args) -> int:
 
 def cmd_occupancy(args) -> int:
     records = read_manifest(args.manifest)
-    actual, detected = _timelines(records, args.manifest, args.preds, args.tau)
-    confusion = compare(actual, detected)
-    policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
-    schedule = simulate_control(detected, policy)
-    os.makedirs(args.out, exist_ok=True)
-    write_timeline_csv(os.path.join(args.out, "timeline.csv"),
-                       actual, detected)
-    write_schedule_csv(os.path.join(args.out, "schedule.csv"), schedule)
-    svg_path = os.path.join(args.out, "occupancy_timeline.svg")
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(timeline_svg(actual, detected, schedule))
+    actual, detected, confusion, schedule = _occupancy(
+        records, args.manifest, args.preds, args, args.out)
+    write_text(os.path.join(args.out, "occupancy_timeline.svg"),
+               timeline_svg(actual, detected, schedule))
     print(f"{len(actual)} frames: occupancy precision "
           f"{confusion.precision:.3f}, recall {confusion.recall:.3f}, "
           f"missed occupied {confusion.missed_occupied}")
@@ -201,17 +208,12 @@ def cmd_pipeline(args) -> int:
                        occupied_fraction=args.occupied_fraction,
                        scenarios=_scenarios(args.scenario), seed=args.seed,
                        noise_sigma=args.sigma)
-    manifest_path = generate_dataset(spec, dataset_dir)
+    manifest_path = generate_dataset(spec, dataset_dir, args.threads)
     records = read_manifest(manifest_path)
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
-    fractions = _parse_fractions(args.fractions)
-    assignment = stratified_split(records, fractions, args.seed)
-    split_paths = _write_split(records, manifest_path, assignment, splits_dir)
-    report = verify_ratio(assignment, records)
-    with open(os.path.join(splits_dir, "ratio_report.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    split_paths, _ = _write_split(records, manifest_path, args.fractions,
+                                  args.seed, splits_dir)
 
     test_manifest = split_paths["test"]
     test_records = read_manifest(test_manifest)
@@ -222,27 +224,19 @@ def cmd_pipeline(args) -> int:
 
     eval_report = evaluate(test_records, preds_dir, test_manifest,
                            operating_tau=args.tau)
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(eval_report.to_json())
+    write_text(os.path.join(args.out, "report.json"), eval_report.to_json())
     print(f"eval: precision {eval_report.precision:.3f}  "
           f"recall {eval_report.recall:.3f}  "
           f"mAP50 {eval_report.map50:.3f}  "
           f"mAP50-95 {eval_report.map50_95:.3f}")
 
-    actual, detected = _timelines(test_records, test_manifest, preds_dir,
-                                  args.tau)
-    confusion = compare(actual, detected)
-    policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
-    schedule = simulate_control(detected, policy)
-    os.makedirs(occ_dir, exist_ok=True)
-    write_timeline_csv(os.path.join(occ_dir, "timeline.csv"), actual, detected)
-    write_schedule_csv(os.path.join(occ_dir, "schedule.csv"), schedule)
+    actual, detected, confusion, schedule = _occupancy(
+        test_records, test_manifest, preds_dir, args, occ_dir)
     print(f"occupancy: recall {confusion.recall:.3f}, "
           f"missed occupied {confusion.missed_occupied}, "
           f"hvac on fraction {schedule.on_fraction:.3f}")
 
-    samples = load_samples(test_records, preds_dir, test_manifest)
+    samples, _ = load_samples(test_records, preds_dir, test_manifest)
     curve = pr_curve(samples)
     emit_plots(plots_dir, curve, eval_report.map50, actual, detected, schedule)
     print(f"plots under {plots_dir}")

@@ -78,11 +78,11 @@ class SceneSpecError(ThermoccError):
     """A scene or dataset specification is out of its valid range."""
 
 
-class OracleScaleError(ThermoccError):
-    """The brute-force matcher was handed more boxes than it accepts."""
-
-
 # --- configuration / CLI ---
 
 class ConfigError(ThermoccError):
     """A parameter, path or option combination is invalid."""
+
+
+class DataIOError(ThermoccError):
+    """A data file or an output directory could not be read or written."""

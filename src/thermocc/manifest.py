@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ManifestError
+from .util import read_text, write_text
 
 _KEYS = ("frame", "labels", "occupied", "ts")
 
@@ -38,11 +39,7 @@ class ManifestRecord:
 def read_manifest(path: str) -> list[ManifestRecord]:
     """Parse a JSONL manifest file. Blank lines are rejected, not skipped."""
     records = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     for lineno, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
@@ -72,10 +69,7 @@ def write_manifest(path: str, records: list[ManifestRecord]) -> None:
             {"frame": rec.frame, "labels": rec.labels,
              "occupied": rec.occupied, "ts": rec.ts},
             separators=(", ", ": ")))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out))
-        if out:
-            fh.write("\n")
+    write_text(path, "\n".join(out + [""]))
 
 
 def resolve(manifest_path: str, relative: str) -> str:

@@ -17,6 +17,7 @@ from .annot import Detection, GroundTruthBox, PixelBox, parse_labels, \
     parse_predictions, to_pixel_box
 from .errors import ConfigError
 from .manifest import ManifestRecord, resolve
+from .util import read_text
 
 NATIVE_WIDTH = 128
 NATIVE_HEIGHT = 96
@@ -190,6 +191,9 @@ class EvalReport:
     ap_per_iou: tuple[float, ...]
     counts: dict
     operating_tau: float
+    # frames with no prediction file, scored as having no detections;
+    # left out of to_dict, so the report's JSON is unchanged
+    missing_preds: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -210,28 +214,33 @@ def load_samples(records: list[ManifestRecord], preds_dir: str,
                  manifest_path: str):
     """Pair each record's predictions with its ground truths.
 
+    Returns (samples, missing): samples[i] is (predictions, gts) for
+    records[i], and missing counts the frames with no prediction file.
     Ground truth comes from the record's label file (a null label path
     means no objects). Predictions come from preds_dir/<frame stem>.txt;
-    a missing file means zero predictions, anything unparseable is a
-    hard error. Duplicate frame stems would silently share one
-    prediction file, so they are rejected.
+    a missing file means zero predictions, while a missing preds_dir or
+    anything unparseable is a hard error. Duplicate frame stems would
+    silently share one prediction file, so they are rejected.
     """
     stems = [os.path.splitext(os.path.basename(r.frame))[0] for r in records]
     if len(set(stems)) != len(stems):
         raise ConfigError("manifest contains duplicate frame stems")
+    if not os.path.isdir(preds_dir):
+        raise ConfigError(f"predictions directory {preds_dir} is missing")
     samples = []
+    missing = 0
     for rec, stem in zip(records, stems):
         gts = []
         if rec.labels is not None:
-            with open(resolve(manifest_path, rec.labels), encoding="utf-8") as fh:
-                gts = parse_labels(fh.read())
+            gts = parse_labels(read_text(resolve(manifest_path, rec.labels)))
         pred_path = os.path.join(preds_dir, stem + ".txt")
         preds = []
         if os.path.exists(pred_path):
-            with open(pred_path, encoding="utf-8") as fh:
-                preds = parse_predictions(fh.read())
+            preds = parse_predictions(read_text(pred_path))
+        else:
+            missing += 1
         samples.append((preds, gts))
-    return samples
+    return samples, missing
 
 
 def evaluate(records: list[ManifestRecord], preds_dir: str,
@@ -248,7 +257,7 @@ def evaluate(records: list[ManifestRecord], preds_dir: str,
         raise ConfigError(f"operating tau must lie in [0, 1], got {operating_tau}")
     if not records:
         raise ConfigError("manifest holds no records to evaluate")
-    samples = load_samples(records, preds_dir, manifest_path)
+    samples, missing = load_samples(records, preds_dir, manifest_path)
     tp = fp = fn = 0
     kept = 0
     for preds, gts in samples:
@@ -269,4 +278,4 @@ def evaluate(records: list[ManifestRecord], preds_dir: str,
         "fn": fn,
     }
     return EvalReport(precision, recall, map50, map50_95, aps,
-                      counts, operating_tau)
+                      counts, operating_tau, missing)

@@ -10,13 +10,13 @@ cycling the plant.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .annot import Detection
 from .errors import AlignmentError, ConfigError, SequenceError
 from .manifest import ManifestRecord
 from .metrics import precision_recall
+from .util import write_text
 
 
 @dataclass(frozen=True)
@@ -190,16 +190,11 @@ def write_timeline_csv(path: str, actual: OccupancyTimeline,
     """One row per frame: timestamp, actual flag, detected flag (0/1)."""
     if actual.timestamps() != detected.timestamps():
         raise AlignmentError("timelines cover different timestamps")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ts", "actual", "detected"])
-        for (ts, truth), (_, seen) in zip(actual.entries, detected.entries):
-            writer.writerow([ts, int(truth), int(seen)])
+    write_text(path, "ts,actual,detected\n" + "".join(
+        f"{ts},{int(truth)},{int(seen)}\n"
+        for (ts, truth), (_, seen) in zip(actual.entries, detected.entries)))
 
 
 def write_schedule_csv(path: str, schedule: HvacSchedule) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ts", "hvac_on"])
-        for ts, flag in schedule.entries:
-            writer.writerow([ts, int(flag)])
+    write_text(path, "ts,hvac_on\n" + "".join(
+        f"{ts},{int(flag)}\n" for ts, flag in schedule.entries))

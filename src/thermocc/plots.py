@@ -11,6 +11,7 @@ import os
 
 from .metrics import PRCurve
 from .occupancy import HvacSchedule, OccupancyTimeline
+from .util import make_dirs, write_text
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 62, 18, 22, 46
@@ -132,11 +133,9 @@ def emit_plots(out_dir: str, curve: PRCurve, ap50: float,
                actual: OccupancyTimeline, detected: OccupancyTimeline,
                schedule: HvacSchedule | None = None) -> tuple[str, str]:
     """Write pr_curve.svg and occupancy_timeline.svg under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     pr_path = os.path.join(out_dir, "pr_curve.svg")
     tl_path = os.path.join(out_dir, "occupancy_timeline.svg")
-    with open(pr_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(pr_curve_svg(curve, ap50))
-    with open(tl_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(timeline_svg(actual, detected, schedule))
+    write_text(pr_path, pr_curve_svg(curve, ap50))
+    write_text(tl_path, timeline_svg(actual, detected, schedule))
     return pr_path, tl_path

@@ -16,18 +16,18 @@ seeded generator so datasets reproduce byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .annot import Detection, GroundTruthBox, NormalizedBox, serialize_labels
-from .errors import OracleScaleError, SceneSpecError
+from .annot import GroundTruthBox, NormalizedBox, serialize_labels
+from .errors import ConfigError, SceneSpecError
 from .frame import ThermalFrame, raw_from_celsius, write_frame
 from .manifest import ManifestRecord, write_manifest
-from .metrics import MatchResult
-from .util import round_half_away
+from .util import make_dirs, round_half_away, write_text
 
 ORIENTATIONS = ("frontal", "side", "down")
 _ORIENT_SCALE = {"frontal": (1.0, 1.0), "side": (0.55, 1.0),
@@ -155,6 +155,7 @@ def occupied_count(frames: int, fraction: float) -> int:
     return round_half_away(frames * fraction)
 
 
+@functools.lru_cache(maxsize=64)
 def _occlusion_cut(fraction: float) -> float:
     """Chord level c such that the disk area below c equals fraction.
 
@@ -178,33 +179,47 @@ def _occlusion_cut(fraction: float) -> float:
     return (lo + hi) / 2.0
 
 
+def _pixel_span(center: float, radius: float, size: int) -> tuple[int, int]:
+    """Pixels [lo, hi) whose centers lie within radius of center, plus one
+    more each way against rounding, clipped to the frame."""
+    lo = math.floor((center - radius) * size - 0.5) - 1
+    hi = math.ceil((center + radius) * size - 0.5) + 2
+    return max(lo, 0), min(hi, size)
+
+
 def _render(scene: SceneSpec, rng: np.random.Generator, width: int,
             height: int, ts: int) -> tuple[ThermalFrame, list[GroundTruthBox]]:
-    """Rasterize a scene; ground truth comes from the noiseless mask."""
+    """Rasterize a scene; ground truth comes from the noiseless mask.
+
+    The ellipse is evaluated only over the pixel box that can hold it,
+    with the same per-pixel arithmetic as over the whole frame, so the
+    output does not depend on the box.
+    """
     temps = np.full((height, width), scene.background_temp, dtype=np.float64)
     gts: list[GroundTruthBox] = []
     if scene.head is not None:
         head = scene.head
         sx, sy = _ORIENT_SCALE[head.orientation]
         rx, ry = head.rx * sx, head.ry * sy
-        u = (np.arange(width) + 0.5) / width
-        v = (np.arange(height) + 0.5) / height
+        c0, c1 = _pixel_span(head.cx, rx, width)
+        r0, r1 = _pixel_span(head.cy, ry, height)
+        u = (np.arange(c0, c1) + 0.5) / width
+        v = (np.arange(r0, r1) + 0.5) / height
         du = (u[None, :] - head.cx) / rx
         dv = (v[:, None] - head.cy) / ry
         dist = np.sqrt(du * du + dv * dv)
         inside = dist <= 1.0
         if head.occlusion > 0.0:
-            cut = _occlusion_cut(head.occlusion)
-            inside &= dv <= cut
+            inside &= dv <= _occlusion_cut(head.occlusion)
         if inside.any():
             delta = head.peak_temp - scene.background_temp
             profile = np.where(
                 dist <= HEAD_CORE, 1.0,
                 1.0 - (1.0 - HEAD_EDGE) * (dist - HEAD_CORE) / (1.0 - HEAD_CORE))
-            temps = np.where(inside, scene.background_temp + delta * profile,
-                             temps)
-            rows = np.nonzero(inside.any(axis=1))[0]
-            cols = np.nonzero(inside.any(axis=0))[0]
+            np.copyto(temps[r0:r1, c0:c1],
+                      scene.background_temp + delta * profile, where=inside)
+            rows = np.nonzero(inside.any(axis=1))[0] + r0
+            cols = np.nonzero(inside.any(axis=0))[0] + c0
             x0, x1 = cols[0] / width, (cols[-1] + 1) / width
             y0, y1 = rows[0] / height, (rows[-1] + 1) / height
             gts.append(GroundTruthBox(0, NormalizedBox(
@@ -282,86 +297,50 @@ def render_frame(spec: DatasetSpec,
     return _render(scene, rng, spec.width, spec.height, plan.ts)
 
 
-def generate_dataset(spec: DatasetSpec, out_dir: str) -> str:
+def _stem(plan: FramePlan) -> str:
+    return f"frame_{plan.index:06d}"
+
+
+def _write_frames(spec: DatasetSpec, plans: list[FramePlan],
+                  out_dir: str) -> None:
+    """Render the planned frames into out_dir's frames/ and labels/."""
+    for plan in plans:
+        frame, gts = render_frame(spec, plan)
+        stem = _stem(plan)
+        write_frame(os.path.join(out_dir, "frames", stem + ".pgm"), frame)
+        write_text(os.path.join(out_dir, "labels", stem + ".txt"),
+                   serialize_labels(gts))
+
+
+def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
     """Write frames/, labels/ and manifest.jsonl; returns the manifest path.
 
     Every frame gets a label file; unoccupied frames get a blank one.
-    Rerunning with the same spec reproduces every byte.
+    Each frame draws from its own (seed, index) stream, so the bytes do
+    not depend on workers: with workers > 1 a pool of that many forked
+    processes writes every workers-th frame each. fork skips the package
+    import that spawn would repeat per worker, but copies only this
+    thread, so no other thread may hold a lock the workers need (the CLI
+    runs synth before detect starts threads). Without fork, frames are
+    written here.
     """
-    frames_dir = os.path.join(out_dir, "frames")
-    labels_dir = os.path.join(out_dir, "labels")
-    os.makedirs(frames_dir, exist_ok=True)
-    os.makedirs(labels_dir, exist_ok=True)
-    records = []
-    for plan in plan_dataset(spec):
-        stem = f"frame_{plan.index:06d}"
-        frame, gts = render_frame(spec, plan)
-        write_frame(os.path.join(frames_dir, stem + ".pgm"), frame)
-        with open(os.path.join(labels_dir, stem + ".txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize_labels(gts))
-        records.append(ManifestRecord(
-            frame=f"frames/{stem}.pgm", labels=f"labels/{stem}.txt",
-            occupied=plan.occupied, ts=plan.ts))
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    plans = plan_dataset(spec)
+    make_dirs(os.path.join(out_dir, "frames"))
+    make_dirs(os.path.join(out_dir, "labels"))
+    shares = [plans[k::workers] for k in range(min(workers, len(plans)))]
+    if len(shares) > 1:
+        import multiprocessing  # here, so importing the package stays light
+    if len(shares) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(len(shares)) as pool:
+            pool.map(functools.partial(_write_frames, spec, out_dir=out_dir),
+                     shares, chunksize=1)
+    else:
+        _write_frames(spec, plans, out_dir)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    write_manifest(manifest_path, records)
+    write_manifest(manifest_path, [
+        ManifestRecord(frame=f"frames/{_stem(p)}.pgm",
+                       labels=f"labels/{_stem(p)}.txt",
+                       occupied=p.occupied, ts=p.ts) for p in plans])
     return manifest_path
-
-
-def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
-                 iou_thresh: float = 0.5, width: int = 128,
-                 height: int = 96) -> MatchResult:
-    """Brute-force reference matcher for cross-checking.
-
-    Recomputes box scaling, overlap and the greedy assignment with
-    plain Python floats and no shared helpers, so it can disagree with
-    the production matcher if either drifts. Deliberately capped to
-    tiny inputs; it exists to be obviously correct, not fast.
-    """
-    if len(preds) > 8:
-        raise OracleScaleError(f"at most 8 predictions, got {len(preds)}")
-    if len(gts) > 5:
-        raise OracleScaleError(f"at most 5 ground truths, got {len(gts)}")
-
-    def corners(box: NormalizedBox) -> tuple[float, float, float, float]:
-        x0 = min(max((box.cx - box.w / 2.0) * width, 0.0), float(width))
-        x1 = min(max((box.cx + box.w / 2.0) * width, 0.0), float(width))
-        y0 = min(max((box.cy - box.h / 2.0) * height, 0.0), float(height))
-        y1 = min(max((box.cy + box.h / 2.0) * height, 0.0), float(height))
-        return x0, y0, x1, y1
-
-    def overlap(a, b) -> float:
-        iw = min(a[2], b[2]) - max(a[0], b[0])
-        ih = min(a[3], b[3]) - max(a[1], b[1])
-        if iw <= 0.0 or ih <= 0.0:
-            return 0.0
-        inter = iw * ih
-        area_a = (a[2] - a[0]) * (a[3] - a[1])
-        area_b = (b[2] - b[0]) * (b[3] - b[1])
-        return inter / (area_a + area_b - inter)
-
-    pcs = [corners(d.box) for d in preds]
-    gcs = [corners(g.box) for g in gts]
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i].confidence, pcs[i][1], pcs[i][0]))
-    taken = [False] * len(gts)
-    assignments = []
-    tp = 0
-    for i in order:
-        best_j = None
-        best = 0.0
-        for j in range(len(gts)):
-            if taken[j]:
-                continue
-            v = overlap(pcs[i], gcs[j])
-            if v > best:
-                best = v
-                best_j = j
-        if best_j is not None and best >= iou_thresh:
-            taken[best_j] = True
-            tp += 1
-            assignments.append((i, best_j))
-        else:
-            assignments.append((i, None))
-    return MatchResult(tuple(assignments), tp, len(preds) - tp,
-                       len(gts) - tp)

@@ -1,6 +1,9 @@
-"""Small numeric helpers shared by several modules."""
+"""Small numeric and file helpers shared by several modules."""
 
 import math
+import os
+
+from .errors import DataIOError
 
 
 def round_half_away(x: float) -> int:
@@ -20,3 +23,28 @@ def clamp(x: float, lo: float, hi: float) -> float:
     if x > hi:
         return hi
     return x
+
+
+def make_dirs(path: str) -> None:
+    """os.makedirs(exist_ok=True), raising DataIOError on failure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataIOError(f"cannot create directory {path}: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write UTF-8 text with LF line endings, whatever the platform."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}") from exc

@@ -28,7 +28,9 @@ from thermocc.occupancy import (compare, detection_timeline,
                                 manifest_timeline)
 from thermocc.split import DEFAULT_FRACTIONS, stratified_split, verify_ratio
 from thermocc.synth import (FRONTAL_SCENARIOS, MIXED_SCENARIOS, DatasetSpec,
-                            generate_dataset, oracle_match)
+                            generate_dataset)
+
+from oracle import oracle_match
 
 REFERENCE_OCCUPIED = 3818
 REFERENCE_EMPTY = 1018
@@ -100,7 +102,7 @@ def test_criterion_2_consistency_fixture(tmp_path):
         assert report.counts == {"images": 968, "gts": 764, "preds": 752,
                                  "tp": 752, "fp": 0, "fn": 12}
 
-        samples = load_samples(records, str(preds_dir), manifest_path)
+        samples, _ = load_samples(records, str(preds_dir), manifest_path)
         actual = manifest_timeline(records)
         detected = detection_timeline([r.ts for r in records],
                                       [preds for preds, _ in samples], 0.9)

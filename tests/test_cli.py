@@ -13,7 +13,8 @@ def tree_bytes(root):
     for dirpath, _, names in os.walk(root):
         for name in names:
             full = os.path.join(dirpath, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 
@@ -149,6 +150,59 @@ def test_bad_tau_fails_cleanly(tmp_path, frontal_dataset):
 def test_bad_threads_fails_cleanly(tmp_path, frontal_dataset):
     assert main(["detect", "--manifest", frontal_dataset,
                  "--out", str(tmp_path / "p"), "--threads", "0"]) == 1
+
+
+def test_unwritable_out_fails_cleanly(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for argv in (["synth", "--frames", "6"],
+                 ["pipeline", "--frames", "40", "--threads", "1"],
+                 ["pipeline", "--frames", "40", "--threads", "2"]):
+        rc = main(argv + ["--out", str(blocker / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unreadable_inputs_fail_cleanly(tmp_path, frontal_dataset, capsys):
+    preds = tmp_path / "preds"
+    main(["detect", "--manifest", frontal_dataset, "--out", str(preds)])
+    eval_argv = ["eval", "--manifest", frontal_dataset, "--preds", str(preds)]
+    label = resolve(frontal_dataset, read_manifest(frontal_dataset)[0].labels)
+    os.remove(label)
+    assert main(eval_argv) == 1
+    assert "cannot read" in capsys.readouterr().err
+    with open(label, "wb") as fh:
+        fh.write(b"\xff\xfe not utf-8")
+    assert main(eval_argv) == 1
+    assert "cannot read" in capsys.readouterr().err
+    bad_manifest = tmp_path / "bad.jsonl"
+    bad_manifest.write_bytes(b"\xff\n")
+    assert main(["split", "--manifest", str(bad_manifest),
+                 "--out", str(tmp_path / "s")]) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "occupancy"])
+def test_missing_preds_dir_fails_cleanly(tmp_path, frontal_dataset, capsys,
+                                         command):
+    rc = main([command, "--manifest", frontal_dataset,
+               "--preds", str(tmp_path / "nonexistent"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "predictions directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "occupancy"])
+def test_missing_prediction_files_are_counted(tmp_path, frontal_dataset,
+                                              capsys, command):
+    preds = tmp_path / "preds"
+    main(["detect", "--manifest", frontal_dataset, "--out", str(preds)])
+    for name in sorted(os.listdir(preds))[:3]:
+        os.remove(preds / name)
+    capsys.readouterr()
+    assert main([command, "--manifest", frontal_dataset,
+                 "--preds", str(preds), "--out", str(tmp_path / "out")]) == 0
+    assert "3 of 24 frames have no prediction file" in capsys.readouterr().out
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):

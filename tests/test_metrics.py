@@ -11,7 +11,8 @@ from thermocc.manifest import ManifestRecord, write_manifest
 from thermocc.metrics import (MAP_THRESHOLDS, average_precision, evaluate,
                               iou, map_range, match_detections, pr_curve,
                               precision_recall)
-from thermocc.synth import oracle_match
+
+from oracle import oracle_match
 
 GRID = 20  # small square grid keeps corner arithmetic exact
 

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
-from thermocc.errors import OracleScaleError, SceneSpecError
-from thermocc.frame import encode_frame
+from thermocc import synth
+from thermocc.errors import ConfigError, FrameIOError, SceneSpecError
+from thermocc.frame import encode_frame, raw_from_celsius
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
-                            MIXED_SCENARIOS, DatasetSpec, HeadSpec, Scenario,
-                            SceneSpec, generate_dataset, generate_scene,
-                            occupied_count, oracle_match, plan_dataset,
-                            render_frame)
+                            MIXED_SCENARIOS, ORIENTATIONS, DatasetSpec,
+                            HeadSpec, Scenario, SceneSpec, _occlusion_cut,
+                            generate_dataset, generate_scene, occupied_count,
+                            plan_dataset, render_frame)
+
+from oracle import OracleScaleError, oracle_match
 
 HEAD = HeadSpec(cx=0.5, cy=0.45, rx=0.11, ry=0.15)
 
@@ -223,20 +226,24 @@ def test_generate_dataset_layout(tmp_path):
 
 
 def test_generate_dataset_reproducible(tmp_path):
-    spec = DatasetSpec(frames=30, seed=4)
-    first = generate_dataset(spec, str(tmp_path / "a"))
-    second = generate_dataset(spec, str(tmp_path / "b"))
+    # 31 frames split unevenly over 2 and 3 workers
+    spec = DatasetSpec(frames=31, seed=4)
 
     def tree_bytes(root):
         out = {}
         for dirpath, _, names in os.walk(root):
             for name in names:
                 full = os.path.join(dirpath, name)
-                out[os.path.relpath(full, root)] = open(full, "rb").read()
+                with open(full, "rb") as fh:
+                    out[os.path.relpath(full, root)] = fh.read()
         return out
 
-    assert tree_bytes(os.path.dirname(first)) == tree_bytes(
-        os.path.dirname(second))
+    trees = []
+    for run, workers in enumerate((1, 1, 2, 3)):
+        manifest = generate_dataset(spec, str(tmp_path / f"run{run}"), workers)
+        trees.append(tree_bytes(os.path.dirname(manifest)))
+    assert len(trees[0]) == 2 * 31 + 1
+    assert all(tree == trees[0] for tree in trees[1:])
 
 
 def test_scenario_presets():
@@ -281,3 +288,92 @@ def test_occlusion_cut_matches_pixel_area():
                                   seed=0)
         visible = int((frame.temps_celsius() > 23.0).sum())
         assert visible / n_full == pytest.approx(1 - q, abs=0.02)
+
+
+def test_generate_dataset_rejects_bad_workers(tmp_path):
+    with pytest.raises(ConfigError):
+        generate_dataset(DatasetSpec(frames=3), str(tmp_path / "d"), 0)
+
+
+def test_worker_write_error_reaches_caller(tmp_path):
+    """A frame that cannot be written fails the run with FrameIOError,
+    whichever process wrote it."""
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        (out / "frames" / "frame_000001.pgm").mkdir(parents=True)
+        with pytest.raises(FrameIOError, match="frame_000001"):
+            generate_dataset(DatasetSpec(frames=4, seed=1), str(out), workers)
+
+
+def _full_frame_render(scene, rng, width, height):
+    """Reference rasterizer: evaluates the ellipse over every pixel of
+    the frame. Returns the float temperatures and the ground truth."""
+    temps = np.full((height, width), scene.background_temp, dtype=np.float64)
+    gts = []
+    head = scene.head
+    sx, sy = {"frontal": (1.0, 1.0), "side": (0.55, 1.0),
+              "down": (1.0, 0.55)}[head.orientation]
+    rx, ry = head.rx * sx, head.ry * sy
+    u = (np.arange(width) + 0.5) / width
+    v = (np.arange(height) + 0.5) / height
+    du = (u[None, :] - head.cx) / rx
+    dv = (v[:, None] - head.cy) / ry
+    dist = np.sqrt(du * du + dv * dv)
+    inside = dist <= 1.0
+    if head.occlusion > 0.0:
+        inside &= dv <= _occlusion_cut.__wrapped__(head.occlusion)
+    if inside.any():
+        delta = head.peak_temp - scene.background_temp
+        profile = np.where(dist <= 0.9, 1.0,
+                           1.0 - (1.0 - 0.6) * (dist - 0.9) / (1.0 - 0.9))
+        temps = np.where(inside, scene.background_temp + delta * profile,
+                         temps)
+        rows = np.nonzero(inside.any(axis=1))[0]
+        cols = np.nonzero(inside.any(axis=0))[0]
+        x0, x1 = cols[0] / width, (cols[-1] + 1) / width
+        y0, y1 = rows[0] / height, (rows[-1] + 1) / height
+        gts.append(GroundTruthBox(0, NormalizedBox(
+            (x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)))
+    if scene.noise_sigma > 0.0:
+        temps = temps + rng.normal(0.0, scene.noise_sigma, temps.shape)
+    return temps, gts
+
+
+def _render_heads(rng):
+    """Typical heads plus heads centered on the frame's edges and
+    corners, where the pixel box is clipped."""
+    for _ in range(12):
+        yield (float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.3, 0.6)),
+               float(rng.uniform(0.08, 0.14)), float(rng.uniform(0.1, 0.2)))
+    for cx in (0.0, 0.5, 1.0):
+        for cy in (0.0, 0.5, 1.0):
+            yield cx, cy, 0.5, 0.5
+            yield cx, cy, 0.11, 0.16
+    yield 0.5, 0.5, 0.001, 0.001  # covers no pixel center: no ground truth
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@pytest.mark.parametrize("occlusion", (0.0, 0.5, 0.7, 0.9))
+def test_box_render_matches_full_frame_render(monkeypatch, orientation,
+                                              occlusion):
+    seen = []
+
+    def capture(temps):
+        seen.append(temps)
+        return raw_from_celsius(temps)
+
+    monkeypatch.setattr(synth, "raw_from_celsius", capture)
+    rng = np.random.default_rng(
+        (ORIENTATIONS.index(orientation), int(occlusion * 10)))
+    for k, (cx, cy, rx, ry) in enumerate(_render_heads(rng)):
+        head = HeadSpec(cx, cy, rx, ry, orientation=orientation,
+                        occlusion=occlusion)
+        scene = SceneSpec(background_temp=21.5, noise_sigma=0.3, head=head)
+        for width, height in ((128, 96), (37, 23)):
+            frame, gts = synth._render(scene, np.random.default_rng(k),
+                                       width, height, 0)
+            want, want_gts = _full_frame_render(
+                scene, np.random.default_rng(k), width, height)
+            assert seen.pop().tobytes() == want.tobytes()
+            assert gts == want_gts
+            assert np.array_equal(frame.temps, raw_from_celsius(want))

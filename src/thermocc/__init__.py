@@ -12,15 +12,14 @@ from .annot import (Detection, GroundTruthBox, NormalizedBox, PixelBox,
                     from_pixel_box, parse_labels, parse_predictions,
                     serialize_labels, serialize_predictions, to_pixel_box)
 from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
-                     detect_manifest, nms, score_blob, threshold_filter)
+                     detect_manifest, nms, score_blob)
 from .errors import ThermoccError
-from .frame import (FrameSequence, GrayImage, TempRange, ThermalFrame,
-                    decode_frame, encode_frame, load_sequence, normalize,
-                    read_frame, write_frame)
+from .frame import (ThermalFrame, decode_frame, encode_frame, read_frame,
+                    write_frame)
 from .manifest import ManifestRecord, read_manifest, write_manifest
 from .metrics import (EvalReport, MatchResult, PRCurve, average_precision,
-                      evaluate, iou, map_range, match_detections, pr_curve,
-                      precision_recall)
+                      evaluate, iou, load_samples, map_range,
+                      match_detections, pr_curve, precision_recall)
 from .occupancy import (ControlPolicy, HvacSchedule, OccupancyConfusion,
                         OccupancyTimeline, compare, detection_timeline,
                         frame_occupancy, manifest_timeline, simulate_control)

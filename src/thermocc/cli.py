@@ -21,7 +21,7 @@ from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_manifest,
                      prediction_filename)
 from .errors import ConfigError, ThermoccError
 from .manifest import ManifestRecord, read_manifest, resolve, write_manifest
-from .metrics import evaluate, load_samples, pr_curve
+from .metrics import evaluate, load_samples
 from .occupancy import (ControlPolicy, compare, detection_timeline,
                         manifest_timeline, simulate_control,
                         write_schedule_csv, write_timeline_csv)
@@ -73,11 +73,14 @@ def _scenarios(name: str):
 
 def _write_split(records, manifest_path: str, fractions: str, seed: int,
                  out_dir: str):
-    """Split stage: subset manifests rebased onto out_dir, ratio report."""
+    """Split stage: subset manifests rebased onto out_dir, ratio report.
+
+    Returns ({subset name: (manifest path, records written)}, report).
+    """
     assignment = stratified_split(records, _parse_fractions(fractions), seed)
     make_dirs(out_dir)
     out_abs = os.path.abspath(out_dir)
-    paths = {}
+    subsets = {}
     for name, indices in assignment.subsets().items():
         subset = []
         for i in indices:
@@ -88,12 +91,12 @@ def _write_split(records, manifest_path: str, fractions: str, seed: int,
             subset.append(ManifestRecord(
                 frame=os.path.relpath(resolve(manifest_path, rec.frame), out_abs),
                 labels=labels, occupied=rec.occupied, ts=rec.ts))
-        paths[name] = os.path.join(out_dir, f"{name}.jsonl")
-        write_manifest(paths[name], subset)
+        subsets[name] = (os.path.join(out_dir, f"{name}.jsonl"), subset)
+        write_manifest(*subsets[name])
     report = verify_ratio(assignment, records)
     write_text(os.path.join(out_dir, "ratio_report.json"),
                json.dumps(report.to_dict(), indent=2) + "\n")
-    return paths, report
+    return subsets, report
 
 
 def _write_predictions(records, manifest_path: str, out_dir: str,
@@ -114,13 +117,13 @@ def _report_missing_predictions(missing: int, total: int,
               f"under {preds_dir}; they count as having no detections")
 
 
-def _occupancy(records, manifest_path: str, preds_dir: str, args,
-               out_dir: str):
-    """Occupancy stage: timelines, confusion and HVAC schedule CSVs."""
+def _occupancy(records, predictions, args, out_dir: str):
+    """Occupancy stage: timelines, confusion and HVAC schedule CSVs.
+
+    predictions[i] holds the detections of records[i].
+    """
     actual = manifest_timeline(records)
-    samples, missing = load_samples(records, preds_dir, manifest_path)
-    _report_missing_predictions(missing, len(records), preds_dir)
-    pairs = sorted(zip((r.ts for r in records), (s[0] for s in samples)),
+    pairs = sorted(zip((r.ts for r in records), predictions),
                    key=lambda p: p[0])
     detected = detection_timeline([ts for ts, _ in pairs],
                                   [preds for _, preds in pairs], args.tau)
@@ -171,10 +174,9 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     records = read_manifest(args.manifest)
-    report = evaluate(records, args.preds, args.manifest,
-                      operating_tau=args.tau, width=args.width,
-                      height=args.height)
-    _report_missing_predictions(report.missing_preds, len(records), args.preds)
+    samples, missing = load_samples(records, args.preds, args.manifest)
+    report = evaluate(samples, operating_tau=args.tau)
+    _report_missing_predictions(missing, len(records), args.preds)
     if args.out:
         write_text(args.out, report.to_json())
     print(f"precision {report.precision:.3f}  recall {report.recall:.3f}  "
@@ -185,8 +187,10 @@ def cmd_eval(args) -> int:
 
 def cmd_occupancy(args) -> int:
     records = read_manifest(args.manifest)
+    samples, missing = load_samples(records, args.preds, args.manifest)
+    _report_missing_predictions(missing, len(records), args.preds)
     actual, detected, confusion, schedule = _occupancy(
-        records, args.manifest, args.preds, args, args.out)
+        records, [preds for preds, _ in samples], args, args.out)
     write_text(os.path.join(args.out, "occupancy_timeline.svg"),
                timeline_svg(actual, detected, schedule))
     print(f"{len(actual)} frames: occupancy precision "
@@ -212,18 +216,20 @@ def cmd_pipeline(args) -> int:
     records = read_manifest(manifest_path)
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
-    split_paths, _ = _write_split(records, manifest_path, args.fractions,
-                                  args.seed, splits_dir)
+    subsets, _ = _write_split(records, manifest_path, args.fractions,
+                              args.seed, splits_dir)
+    test_manifest, test_records = subsets["test"]
+    del subsets  # frees the train and val records, which no later stage uses
 
-    test_manifest = split_paths["test"]
-    test_records = read_manifest(test_manifest)
     config = DetectorConfig()
     _write_predictions(test_records, test_manifest, preds_dir, config,
                        args.threads)
     print(f"detector: {len(test_records)} test frames scored")
 
-    eval_report = evaluate(test_records, preds_dir, test_manifest,
-                           operating_tau=args.tau)
+    # Later stages score the predictions as written, rounded to six
+    # decimals, so they agree with `eval` and `occupancy` run on preds/.
+    samples, _ = load_samples(test_records, preds_dir, test_manifest)
+    eval_report = evaluate(samples, operating_tau=args.tau)
     write_text(os.path.join(args.out, "report.json"), eval_report.to_json())
     print(f"eval: precision {eval_report.precision:.3f}  "
           f"recall {eval_report.recall:.3f}  "
@@ -231,14 +237,13 @@ def cmd_pipeline(args) -> int:
           f"mAP50-95 {eval_report.map50_95:.3f}")
 
     actual, detected, confusion, schedule = _occupancy(
-        test_records, test_manifest, preds_dir, args, occ_dir)
+        test_records, [preds for preds, _ in samples], args, occ_dir)
     print(f"occupancy: recall {confusion.recall:.3f}, "
           f"missed occupied {confusion.missed_occupied}, "
           f"hvac on fraction {schedule.on_fraction:.3f}")
 
-    samples, _ = load_samples(test_records, preds_dir, test_manifest)
-    curve = pr_curve(samples)
-    emit_plots(plots_dir, curve, eval_report.map50, actual, detected, schedule)
+    emit_plots(plots_dir, eval_report.curve, eval_report.map50, actual,
+               detected, schedule)
     print(f"plots under {plots_dir}")
     return 0
 
@@ -293,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="where to write report JSON")
     p.add_argument("--tau", type=float, default=0.9,
                    help="operating confidence threshold")
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=96)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("occupancy",

@@ -105,13 +105,6 @@ def nms(dets: list[Detection], iou_thresh: float,
     return [dets[i] for i in kept]
 
 
-def threshold_filter(dets: list[Detection], tau: float) -> list[Detection]:
-    """Keep detections whose confidence is at least tau (inclusive)."""
-    if not (0.0 <= tau <= 1.0):
-        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
-    return [d for d in dets if d.confidence >= tau]
-
-
 def detect_blobs(frame: ThermalFrame,
                  config: DetectorConfig = DEFAULT_CONFIG) -> list[Detection]:
     """Detect warm blobs in one frame.

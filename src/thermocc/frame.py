@@ -1,4 +1,4 @@
-"""Thermal frame codec and normalization.
+"""Thermal frame codec.
 
 Frames travel as binary PGM (P5) files with a 16-bit big-endian
 payload, maxval 65535, and a mandatory `# ts=<integer>` comment line
@@ -9,16 +9,13 @@ lossless at 0.01 degree resolution.
 
 from __future__ import annotations
 
-import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (FrameFormatError, FrameIOError, FrameMetadataError,
-                     FrameTruncationError, SequenceError)
-from .manifest import ManifestRecord
+                     FrameTruncationError)
 
 CENTI_KELVIN_OFFSET = 27315  # raw value of 0.00 degrees Celsius
 PGM_MAXVAL = 65535
@@ -70,69 +67,6 @@ class ThermalFrame:
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
-class GrayImage:
-    """An 8-bit rendering of a frame, for detectors and previews."""
-
-    width: int
-    height: int
-    pixels: np.ndarray  # shape (height, width), dtype uint8
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if arr.shape != (self.height, self.width):
-            raise ValueError("pixel shape does not match declared size")
-        object.__setattr__(self, "pixels", arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return (self.width == other.width and self.height == other.height
-                and np.array_equal(self.pixels, other.pixels))
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class TempRange:
-    """Fixed Celsius window used to normalize frames to 8 bits."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def from_frame(cls, frame: ThermalFrame) -> "TempRange":
-        """Opt-in per-frame min/max window. Flat frames are rejected."""
-        t = frame.temps_celsius()
-        return cls(float(t.min()), float(t.max()))
-
-
-@dataclass(frozen=True)
-class FrameSequence:
-    """Frames ordered by strictly increasing timestamp."""
-
-    frames: tuple[ThermalFrame, ...]
-    nominal_period: float = 10.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        ts = [f.timestamp for f in self.frames]
-        for a, b in zip(ts, ts[1:]):
-            if b <= a:
-                raise SequenceError(
-                    f"timestamps must strictly increase, got {a} then {b}")
-
-    def timestamps(self) -> list[int]:
-        return [f.timestamp for f in self.frames]
-
-    def __len__(self):
-        return len(self.frames)
-
-
 def decode_frame(data: bytes) -> ThermalFrame:
     """Parse one binary PGM frame from bytes."""
     if not data.startswith(b"P5"):
@@ -148,7 +82,10 @@ def decode_frame(data: bytes) -> ThermalFrame:
     if m is None:
         raise FrameMetadataError(
             f"comment must read '# ts=<integer>', got {data[pos:eol]!r}")
-    timestamp = int(m.group(1))
+    try:
+        timestamp = int(m.group(1))
+    except ValueError:  # beyond the interpreter's int digit limit
+        raise FrameMetadataError("timestamp has too many digits") from None
     pos = eol + 1
     width, pos = _read_uint(data, pos, "width")
     height, pos = _read_uint(data, pos, "height")
@@ -196,7 +133,10 @@ def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise FrameFormatError(f"missing or non-numeric {what} in header")
-    return int(data[start:pos]), pos
+    try:
+        return int(data[start:pos]), pos
+    except ValueError:  # beyond the interpreter's int digit limit
+        raise FrameFormatError(f"{what} in header has too many digits") from None
 
 
 def read_frame(path: str) -> ThermalFrame:
@@ -214,45 +154,3 @@ def write_frame(path: str, frame: ThermalFrame) -> None:
             fh.write(encode_frame(frame))
     except OSError as exc:
         raise FrameIOError(f"cannot write frame {path}: {exc}") from exc
-
-
-def normalize(frame: ThermalFrame, window: TempRange) -> GrayImage:
-    """Map Celsius values inside the window to 0..255.
-
-    Values are clamped to the window first, then scaled linearly and
-    rounded to the nearest integer (halves away from zero), so equal
-    raw values always produce equal gray levels.
-    """
-    t = frame.temps_celsius()
-    frac = np.clip((t - window.lo) / (window.hi - window.lo), 0.0, 1.0)
-    pixels = np.floor(frac * 255.0 + 0.5).astype(np.uint8)
-    return GrayImage(frame.width, frame.height, pixels)
-
-
-def load_sequence(records: list[ManifestRecord], base_dir: str = ".") -> FrameSequence:
-    """Read every manifest frame, check timestamps, sort into a sequence.
-
-    The nominal period is inferred as the most common gap between
-    consecutive timestamps (smallest wins a tie); sequences with fewer
-    than two frames keep the 10 s default.
-    """
-    frames = []
-    for rec in records:
-        path = os.path.join(base_dir, rec.frame)
-        frm = read_frame(path)
-        if frm.timestamp != rec.ts:
-            raise SequenceError(
-                f"{rec.frame}: manifest says ts={rec.ts} but the frame "
-                f"header says ts={frm.timestamp}")
-        frames.append(frm)
-    frames.sort(key=lambda f: f.timestamp)
-    for a, b in zip(frames, frames[1:]):
-        if b.timestamp == a.timestamp:
-            raise SequenceError(f"duplicate timestamp {a.timestamp}")
-    period = 10.0
-    if len(frames) >= 2:
-        gaps = Counter(b.timestamp - a.timestamp
-                       for a, b in zip(frames, frames[1:]))
-        best = max(gaps.values())
-        period = float(min(g for g, n in gaps.items() if n == best))
-    return FrameSequence(tuple(frames), nominal_period=period)

@@ -30,6 +30,8 @@ class ManifestRecord:
             raise ManifestError("frame path must be a non-empty string")
         if self.labels is not None and not isinstance(self.labels, str):
             raise ManifestError("labels path must be a string or null")
+        if "\0" in self.frame or "\0" in (self.labels or ""):
+            raise ManifestError("paths must not contain NUL characters")
         if not isinstance(self.occupied, bool):
             raise ManifestError("occupied flag must be a boolean")
         if not isinstance(self.ts, int) or isinstance(self.ts, bool):
@@ -43,7 +45,9 @@ def read_manifest(path: str) -> list[ManifestRecord]:
     for lineno, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integers past the
+            # interpreter's digit limit; RecursionError, deep nesting
             raise ManifestError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ManifestError(f"{path}:{lineno}: expected a JSON object")

@@ -164,22 +164,36 @@ def average_precision(curve: PRCurve) -> float:
     return float(suffix_max[idx[hit]].sum() / 101.0)
 
 
-def map_range(samples, width: int = NATIVE_WIDTH, height: int = NATIVE_HEIGHT,
-              thresholds: tuple[float, ...] = MAP_THRESHOLDS):
-    """AP at each IoU threshold plus the 0.50 and 0.50:0.95 summaries.
+def _ladder(samples, width: int, height: int):
+    """Sweep the MAP_THRESHOLDS ladder once.
 
-    Returns (map50, map50_95, ap_per_iou). Raises ConfigError when the
-    samples contain neither ground truths nor predictions, because a
-    mean over nothing is meaningless.
+    Returns (map50, map50_95, ap_per_iou, curve50), curve50 being the
+    IoU 0.50 PR curve. Raises ConfigError when the samples contain
+    neither ground truths nor predictions, because a mean over nothing
+    is meaningless.
     """
     samples = list(samples)
     n_gts = sum(len(gts) for _, gts in samples)
     n_preds = sum(len(preds) for preds, _ in samples)
     if n_gts == 0 and n_preds == 0:
         raise ConfigError("no ground truths and no predictions to score")
-    aps = tuple(average_precision(pr_curve(samples, t, width, height))
-                for t in thresholds)
-    return aps[0], sum(aps) / len(aps), aps
+    # A curve holds a point per prediction. Only the IoU 0.50 one is
+    # kept, and it is swept last, so that at most one curve is alive at
+    # a time and peak memory stays that of a single sweep.
+    upper = [average_precision(pr_curve(samples, t, width, height))
+             for t in MAP_THRESHOLDS[1:]]
+    curve50 = pr_curve(samples, MAP_THRESHOLDS[0], width, height)
+    aps = (average_precision(curve50), *upper)
+    return aps[0], sum(aps) / len(aps), aps, curve50
+
+
+def map_range(samples, width: int = NATIVE_WIDTH,
+              height: int = NATIVE_HEIGHT):
+    """AP at each IoU threshold plus the 0.50 and 0.50:0.95 summaries.
+
+    Returns (map50, map50_95, ap_per_iou); see _ladder for the errors.
+    """
+    return _ladder(samples, width, height)[:3]
 
 
 @dataclass(frozen=True)
@@ -191,9 +205,9 @@ class EvalReport:
     ap_per_iou: tuple[float, ...]
     counts: dict
     operating_tau: float
-    # frames with no prediction file, scored as having no detections;
-    # left out of to_dict, so the report's JSON is unchanged
-    missing_preds: int = 0
+    # the IoU 0.50 PR curve the ladder swept, kept for plotting and
+    # left out of to_dict
+    curve: PRCurve
 
     def to_dict(self) -> dict:
         return {
@@ -243,11 +257,10 @@ def load_samples(records: list[ManifestRecord], preds_dir: str,
     return samples, missing
 
 
-def evaluate(records: list[ManifestRecord], preds_dir: str,
-             manifest_path: str, operating_tau: float = 0.9,
+def evaluate(samples, operating_tau: float = 0.9,
              width: int = NATIVE_WIDTH,
              height: int = NATIVE_HEIGHT) -> EvalReport:
-    """Score a prediction directory against a manifest.
+    """Score (predictions, gts) pairs, one per frame (see load_samples).
 
     Precision/recall and the confusion counts are taken at the
     operating confidence threshold with IoU 0.5; the mAP figures sweep
@@ -255,9 +268,9 @@ def evaluate(records: list[ManifestRecord], preds_dir: str,
     """
     if not (0.0 <= operating_tau <= 1.0):
         raise ConfigError(f"operating tau must lie in [0, 1], got {operating_tau}")
-    if not records:
+    samples = list(samples)
+    if not samples:
         raise ConfigError("manifest holds no records to evaluate")
-    samples, missing = load_samples(records, preds_dir, manifest_path)
     tp = fp = fn = 0
     kept = 0
     for preds, gts in samples:
@@ -268,7 +281,7 @@ def evaluate(records: list[ManifestRecord], preds_dir: str,
         fn += result.fn
         kept += len(admitted)
     precision, recall = precision_recall(tp, fp, fn)
-    map50, map50_95, aps = map_range(samples, width, height)
+    map50, map50_95, aps, curve = _ladder(samples, width, height)
     counts = {
         "images": len(samples),
         "gts": sum(len(g) for _, g in samples),
@@ -278,4 +291,4 @@ def evaluate(records: list[ManifestRecord], preds_dir: str,
         "fn": fn,
     }
     return EvalReport(precision, recall, map50, map50_95, aps,
-                      counts, operating_tau, missing)
+                      counts, operating_tau, curve)

@@ -94,8 +94,9 @@ def test_criterion_2_consistency_fixture(tmp_path):
                 occupied=occupied, ts=i * 10))
         manifest_path = str(tmp_path / "manifest.jsonl")
 
-        report = evaluate(records, str(preds_dir), manifest_path,
-                          operating_tau=0.9)
+        report = evaluate(
+            load_samples(records, str(preds_dir), manifest_path)[0],
+            operating_tau=0.9)
         assert report.precision == 1.0
         assert report.recall == 752 / 764
         assert round(report.recall, 3) == 0.984
@@ -309,8 +310,9 @@ def test_criterion_5_synthetic_end_to_end(tmp_path):
                 stem = os.path.splitext(os.path.basename(rec.frame))[0]
                 (preds_dir / f"{stem}.txt").write_text(
                     serialize_predictions(dets))
-            report = evaluate(records, str(preds_dir), manifest_path,
-                              operating_tau=0.9)
+            report = evaluate(
+                load_samples(records, str(preds_dir), manifest_path)[0],
+                operating_tau=0.9)
             actual = manifest_timeline(records)
             detected = detection_timeline(
                 [r.ts for r in records],
@@ -381,8 +383,9 @@ def test_criterion_7_throughput(tmp_path):
             stem = os.path.splitext(os.path.basename(rec.frame))[0]
             (preds_dir / f"{stem}.txt").write_text(
                 serialize_predictions(dets))
-        report = evaluate(records, str(preds_dir), manifest_path,
-                          operating_tau=0.9)
+        report = evaluate(
+            load_samples(records, str(preds_dir), manifest_path)[0],
+            operating_tau=0.9)
         elapsed = time.perf_counter() - start
 
         assert report.counts["images"] == 4836

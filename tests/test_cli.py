@@ -122,6 +122,27 @@ def test_pipeline_reproducible(tmp_path):
     assert os.path.join("occupancy", "schedule.csv") in a
 
 
+def test_subcommands_reproduce_pipeline(tmp_path):
+    """eval and occupancy over a pipeline's splits/ and preds/ rewrite
+    its report, CSVs and timeline plot byte for byte."""
+    run = tmp_path / "run"
+    assert main(["pipeline", "--out", str(run), "--frames", "300",
+                 "--seed", "4"]) == 0
+    test_manifest = str(run / "splits" / "test.jsonl")
+    report = tmp_path / "report.json"
+    assert main(["eval", "--manifest", test_manifest,
+                 "--preds", str(run / "preds"), "--out", str(report)]) == 0
+    occ = tmp_path / "occ"
+    assert main(["occupancy", "--manifest", test_manifest,
+                 "--preds", str(run / "preds"), "--out", str(occ)]) == 0
+    assert report.read_bytes() == (run / "report.json").read_bytes()
+    for name in ("timeline.csv", "schedule.csv"):
+        assert (occ / name).read_bytes() == \
+            (run / "occupancy" / name).read_bytes()
+    assert (occ / "occupancy_timeline.svg").read_bytes() == \
+        (run / "plots" / "occupancy_timeline.svg").read_bytes()
+
+
 def test_exit_codes(tmp_path):
     assert main([]) == 1  # a subcommand is required
     assert main(["synth", "--bogus"]) == 1
@@ -180,6 +201,21 @@ def test_unreadable_inputs_fail_cleanly(tmp_path, frontal_dataset, capsys):
     bad_manifest.write_bytes(b"\xff\n")
     assert main(["split", "--manifest", str(bad_manifest),
                  "--out", str(tmp_path / "s")]) == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_nul_in_manifest_path_fails_cleanly(tmp_path, capsys, command):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"frame": "f\\u0000.pgm", '
+                        '"labels": "l\\u0000.txt", "occupied": true, '
+                        '"ts": 0}\n')
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    target = "--preds" if command == "eval" else "--out"
+    assert main([command, "--manifest", str(manifest),
+                 target, str(preds)]) == 1
+    err = capsys.readouterr().err
+    assert "NUL" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["eval", "occupancy"])

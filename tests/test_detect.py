@@ -4,7 +4,7 @@ import pytest
 from thermocc.annot import Detection, NormalizedBox, to_pixel_box
 from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
                              detect_manifest, nms, prediction_filename,
-                             score_blob, threshold_filter)
+                             score_blob)
 from thermocc.errors import ConfigError
 from thermocc.frame import ThermalFrame, decode_frame, encode_frame, \
     raw_from_celsius
@@ -198,23 +198,6 @@ def test_nms_idempotent_and_subset():
         assert nms(kept, 0.5, 128, 96) == kept
         confs = [d.confidence for d in kept]
         assert confs == sorted(confs, reverse=True)
-
-
-def test_threshold_filter_inclusive():
-    d = Detection(0, NormalizedBox(0.5, 0.5, 0.2, 0.2), 0.9)
-    assert threshold_filter([d], 0.9) == [d]
-    assert threshold_filter([d], 0.9000001) == []
-    with pytest.raises(ConfigError):
-        threshold_filter([d], 1.5)
-
-
-def test_threshold_filter_monotone():
-    rng = np.random.default_rng(14)
-    dets = [Detection(0, NormalizedBox(0.5, 0.5, 0.2, 0.2),
-                      float(rng.uniform(0, 1))) for _ in range(50)]
-    sizes = [len(threshold_filter(dets, tau))
-             for tau in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_detect_deterministic_across_codec():

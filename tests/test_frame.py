@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from thermocc.errors import (FrameFormatError, FrameIOError,
-                             FrameMetadataError, FrameTruncationError,
-                             SequenceError)
-from thermocc.frame import (CENTI_KELVIN_OFFSET, FrameSequence, TempRange,
-                            ThermalFrame, celsius_from_raw, decode_frame,
-                            encode_frame, load_sequence, normalize,
-                            raw_from_celsius, write_frame)
-from thermocc.manifest import ManifestRecord
+                             FrameMetadataError, FrameTruncationError)
+from thermocc.frame import (CENTI_KELVIN_OFFSET, ThermalFrame,
+                            celsius_from_raw, decode_frame, encode_frame,
+                            raw_from_celsius, read_frame)
 
 
 def make_frame(width, height, celsius, ts=0):
@@ -98,91 +95,17 @@ def test_frame_shape_mismatch_rejected():
         ThermalFrame(2, 2, np.zeros((3, 2), dtype=np.uint16), 0)
 
 
-def test_temp_range_rejects_empty_window():
-    with pytest.raises(ValueError):
-        TempRange(30.0, 30.0)
-
-
-def test_temp_range_from_frame():
-    temps = raw_from_celsius(np.array([[18.0, 31.0]]))
-    window = TempRange.from_frame(ThermalFrame(2, 1, temps, 0))
-    assert window.lo == 18.0 and window.hi == 31.0
-
-
-def test_normalize_endpoints_and_midpoint():
-    window = TempRange(15.0, 40.0)
-    temps = raw_from_celsius(np.array([[15.0, 27.5, 40.0]]))
-    img = normalize(ThermalFrame(3, 1, temps, 0), window)
-    assert img.pixels.tolist() == [[0, 128, 255]]
-
-
-def test_normalize_clamps_outside_window():
-    window = TempRange(15.0, 40.0)
-    temps = raw_from_celsius(np.array([[5.0, 50.0]]))
-    img = normalize(ThermalFrame(2, 1, temps, 0), window)
-    assert img.pixels.tolist() == [[0, 255]]
-
-
-def test_normalize_monotone():
-    rng = np.random.default_rng(7)
-    window = TempRange(10.0, 42.0)
-    raws = np.sort(rng.integers(26000, 32000, size=(1, 64))).astype(np.uint16)
-    img = normalize(ThermalFrame(64, 1, raws, 0), window)
-    levels = img.pixels.ravel()
-    assert np.all(np.diff(levels.astype(int)) >= 0)
-
-
-def test_normalize_equal_raw_equal_gray():
-    rng = np.random.default_rng(8)
-    raws = rng.integers(26000, 32000, size=(6, 6)).astype(np.uint16)
-    window = TempRange(12.0, 38.0)
-    a = normalize(ThermalFrame(6, 6, raws, 0), window)
-    b = normalize(ThermalFrame(6, 6, raws.copy(), 99), window)
-    assert a == b
-
-
-def _write_sequence(tmp_path, stamps):
-    records = []
-    for k, ts in enumerate(stamps):
-        name = f"f{k}.pgm"
-        write_frame(str(tmp_path / name), make_frame(2, 2, 20.0, ts=ts))
-        records.append(ManifestRecord(name, None, False, ts))
-    return records
-
-
-def test_load_sequence_sorts_and_infers_period(tmp_path):
-    records = _write_sequence(tmp_path, [30, 10, 20])
-    seq = load_sequence(records, str(tmp_path))
-    assert seq.timestamps() == [10, 20, 30]
-    assert seq.nominal_period == 10.0
-
-
-def test_load_sequence_single_frame_default_period(tmp_path):
-    records = _write_sequence(tmp_path, [5])
-    seq = load_sequence(records, str(tmp_path))
-    assert len(seq) == 1 and seq.nominal_period == 10.0
-
-
-def test_load_sequence_rejects_duplicate_ts(tmp_path):
-    records = _write_sequence(tmp_path, [10, 10])
-    with pytest.raises(SequenceError):
-        load_sequence(records, str(tmp_path))
-
-
-def test_load_sequence_rejects_ts_mismatch(tmp_path):
-    records = _write_sequence(tmp_path, [10])
-    bad = ManifestRecord(records[0].frame, None, False, 11)
-    with pytest.raises(SequenceError):
-        load_sequence([bad], str(tmp_path))
-
-
-def test_load_sequence_missing_file(tmp_path):
+def test_read_frame_missing_file(tmp_path):
     with pytest.raises(FrameIOError):
-        load_sequence([ManifestRecord("nope.pgm", None, False, 0)],
-                      str(tmp_path))
+        read_frame(str(tmp_path / "nope.pgm"))
 
 
-def test_frame_sequence_rejects_decreasing():
-    frames = [make_frame(1, 1, 20.0, ts=t) for t in (10, 9)]
-    with pytest.raises(SequenceError):
-        FrameSequence(tuple(frames))
+def test_decode_rejects_overlong_header_numbers():
+    """Header fields past the interpreter's int digit limit are bad input."""
+    digits = b"9" * 5000
+    with pytest.raises(FrameMetadataError):
+        decode_frame(b"P5\n# ts=" + digits + b"\n1 1\n65535\n\x00\x00")
+    for header in (digits + b" 1\n65535", b"1 " + digits + b"\n65535",
+                   b"1 1\n" + digits):
+        with pytest.raises(FrameFormatError):
+            decode_frame(b"P5\n# ts=0\n" + header + b"\n\x00\x00")

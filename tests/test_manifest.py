@@ -62,6 +62,27 @@ def test_rejects_blank_line(tmp_path):
         read_manifest(str(path))
 
 
+def test_rejects_overlong_integer(tmp_path):
+    """An integer past the interpreter's digit limit is not a bare ValueError."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame": "a.pgm", "labels": null, "occupied": true, '
+                    '"ts": ' + "1" * 5000 + '}\n')
+    with pytest.raises(ManifestError):
+        read_manifest(str(path))
+
+
+def test_rejects_nul_in_paths(tmp_path):
+    with pytest.raises(ManifestError):
+        ManifestRecord("a\0.pgm", None, False, 0)
+    with pytest.raises(ManifestError):
+        ManifestRecord("a.pgm", "l\0.txt", True, 0)
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame": "a.pgm", "labels": "l\\u0000.txt", '
+                    '"occupied": true, "ts": 0}\n')
+    with pytest.raises(ManifestError):
+        read_manifest(str(path))
+
+
 def test_rejects_bool_ts():
     with pytest.raises(ManifestError):
         ManifestRecord("a.pgm", None, False, True)

@@ -9,8 +9,8 @@ from thermocc.annot import (Detection, GroundTruthBox, NormalizedBox,
 from thermocc.errors import ConfigError
 from thermocc.manifest import ManifestRecord, write_manifest
 from thermocc.metrics import (MAP_THRESHOLDS, average_precision, evaluate,
-                              iou, map_range, match_detections, pr_curve,
-                              precision_recall)
+                              iou, load_samples, map_range, match_detections,
+                              pr_curve, precision_recall)
 
 from oracle import oracle_match
 
@@ -255,7 +255,7 @@ def test_map_monotone_in_threshold():
         assert hi <= lo + 1e-12
 
 
-# --- evaluate() against files ---------------------------------------------
+# --- evaluate() over samples loaded from files ------------------------------
 
 
 def write_eval_fixture(tmp_path, pred_rows):
@@ -289,19 +289,24 @@ def test_evaluate_perfect(tmp_path):
         "f2": [],
     }
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, preds)
-    report = evaluate(records, preds_dir, manifest_path, operating_tau=0.9)
+    samples, missing = load_samples(records, preds_dir, manifest_path)
+    assert missing == 0
+    report = evaluate(samples, operating_tau=0.9)
     assert report.precision == 1.0
     assert report.recall == 1.0
     assert report.map50 == 1.0
     assert report.map50_95 == 1.0
     assert report.counts == {"images": 3, "gts": 2, "preds": 2,
                              "tp": 2, "fp": 0, "fn": 0}
+    assert report.curve == pr_curve(samples)
 
 
 def test_evaluate_missing_pred_file_is_no_detections(tmp_path):
     preds = {"f0": [Detection(0, NormalizedBox(0.4, 0.4, 0.2, 0.25), 0.95)]}
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, preds)
-    report = evaluate(records, preds_dir, manifest_path, operating_tau=0.9)
+    samples, missing = load_samples(records, preds_dir, manifest_path)
+    assert missing == 2
+    report = evaluate(samples, operating_tau=0.9)
     assert report.counts["fn"] == 1
     assert report.recall == 0.5
 
@@ -312,7 +317,8 @@ def test_evaluate_tau_filters_operating_point_not_map(tmp_path):
         "f1": [Detection(0, NormalizedBox(0.6, 0.5, 0.15, 0.2), 0.95)],
     }
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, preds)
-    report = evaluate(records, preds_dir, manifest_path, operating_tau=0.99)
+    samples, _ = load_samples(records, preds_dir, manifest_path)
+    report = evaluate(samples, operating_tau=0.99)
     assert report.counts["preds"] == 0
     assert report.recall == 0.0
     assert report.precision == 1.0  # no admitted predictions, none wrong
@@ -321,21 +327,24 @@ def test_evaluate_tau_filters_operating_point_not_map(tmp_path):
 
 def test_evaluate_rejects_bad_tau(tmp_path):
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, {})
+    samples, _ = load_samples(records, preds_dir, manifest_path)
     with pytest.raises(ConfigError):
-        evaluate(records, preds_dir, manifest_path, operating_tau=1.5)
+        evaluate(samples, operating_tau=1.5)
+    with pytest.raises(ConfigError):
+        evaluate([])
 
 
 def test_evaluate_rejects_duplicate_stems(tmp_path):
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, {})
     dupe = records + [ManifestRecord("other/f0.pgm", None, False, 99)]
     with pytest.raises(ConfigError):
-        evaluate(dupe, preds_dir, manifest_path)
+        load_samples(dupe, preds_dir, manifest_path)
 
 
 def test_report_json_schema(tmp_path):
     preds = {"f0": [Detection(0, NormalizedBox(0.4, 0.4, 0.2, 0.25), 0.95)]}
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, preds)
-    report = evaluate(records, preds_dir, manifest_path)
+    report = evaluate(load_samples(records, preds_dir, manifest_path)[0])
     data = json.loads(report.to_json())
     assert list(data.keys()) == ["precision", "recall", "map50", "map50_95",
                                  "ap_per_iou", "counts", "operating_tau"]

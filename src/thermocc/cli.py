@@ -17,11 +17,11 @@ import sys
 import traceback
 
 from .annot import serialize_predictions
-from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_manifest,
-                     prediction_filename)
+from .detect import DEFAULT_CONFIG, DetectorConfig, detect_manifest
 from .errors import ConfigError, ThermoccError
-from .manifest import ManifestRecord, read_manifest, resolve, write_manifest
-from .metrics import evaluate, load_samples
+from .manifest import (ManifestRecord, prediction_filenames, read_manifest,
+                       resolve, write_manifest)
+from .metrics import DEFAULT_TAU, evaluate, load_samples
 from .occupancy import (ControlPolicy, compare, detection_timeline,
                         manifest_timeline, simulate_control,
                         write_schedule_csv, write_timeline_csv)
@@ -67,17 +67,23 @@ def _parse_fractions(text: str) -> SplitFractions:
     return SplitFractions(*values)
 
 
-def _scenarios(name: str):
-    return FRONTAL_SCENARIOS if name == "frontal" else MIXED_SCENARIOS
+_SCENARIOS = {"mixed": MIXED_SCENARIOS, "frontal": FRONTAL_SCENARIOS}
 
 
-def _write_split(records, manifest_path: str, fractions: str, seed: int,
-                 out_dir: str):
+def _dataset_spec(args, **extra) -> DatasetSpec:
+    return DatasetSpec(frames=args.frames,
+                       occupied_fraction=args.occupied_fraction,
+                       scenarios=_SCENARIOS[args.scenario], seed=args.seed,
+                       noise_sigma=args.sigma, **extra)
+
+
+def _write_split(records, manifest_path: str, fractions: SplitFractions,
+                 seed: int, out_dir: str):
     """Split stage: subset manifests rebased onto out_dir, ratio report.
 
     Returns ({subset name: (manifest path, records written)}, report).
     """
-    assignment = stratified_split(records, _parse_fractions(fractions), seed)
+    assignment = stratified_split(records, fractions, seed)
     make_dirs(out_dir)
     out_abs = os.path.abspath(out_dir)
     subsets = {}
@@ -100,11 +106,9 @@ def _write_split(records, manifest_path: str, fractions: str, seed: int,
 
 
 def _write_predictions(records, manifest_path: str, out_dir: str,
-                       config: DetectorConfig, threads: int) -> None:
-    names = [prediction_filename(rec.frame) for rec in records]
-    if len(set(names)) != len(names):
-        raise ConfigError("manifest contains duplicate frame stems")
-    detections = detect_manifest(records, manifest_path, config, threads)
+                       config: DetectorConfig) -> None:
+    names = prediction_filenames(records)
+    detections = detect_manifest(records, manifest_path, config)
     make_dirs(out_dir)
     for name, dets in zip(names, detections):
         write_text(os.path.join(out_dir, name), serialize_predictions(dets))
@@ -137,12 +141,8 @@ def _occupancy(records, predictions, args, out_dir: str):
 
 
 def cmd_synth(args) -> int:
-    spec = DatasetSpec(frames=args.frames,
-                       occupied_fraction=args.occupied_fraction,
-                       scenarios=_scenarios(args.scenario), seed=args.seed,
-                       background_temp=args.background,
-                       noise_sigma=args.sigma, start_ts=args.start_ts,
-                       period=args.period)
+    spec = _dataset_spec(args, background_temp=args.background,
+                         start_ts=args.start_ts, period=args.period)
     manifest_path = generate_dataset(spec, args.out)
     records = read_manifest(manifest_path)
     occupied = sum(r.occupied for r in records)
@@ -167,7 +167,7 @@ def cmd_detect(args) -> int:
     records = read_manifest(args.manifest)
     config = DetectorConfig(warm_threshold=args.warm_threshold,
                             nms_iou=args.nms_iou)
-    _write_predictions(records, args.manifest, args.out, config, args.threads)
+    _write_predictions(records, args.manifest, args.out, config)
     print(f"wrote predictions for {len(records)} frames under {args.out}")
     return 0
 
@@ -208,11 +208,8 @@ def cmd_pipeline(args) -> int:
     occ_dir = os.path.join(args.out, "occupancy")
     plots_dir = os.path.join(args.out, "plots")
 
-    spec = DatasetSpec(frames=args.frames,
-                       occupied_fraction=args.occupied_fraction,
-                       scenarios=_scenarios(args.scenario), seed=args.seed,
-                       noise_sigma=args.sigma)
-    manifest_path = generate_dataset(spec, dataset_dir, args.threads)
+    manifest_path = generate_dataset(_dataset_spec(args), dataset_dir,
+                                     args.threads)
     records = read_manifest(manifest_path)
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
@@ -221,9 +218,7 @@ def cmd_pipeline(args) -> int:
     test_manifest, test_records = subsets["test"]
     del subsets  # frees the train and val records, which no later stage uses
 
-    config = DetectorConfig()
-    _write_predictions(test_records, test_manifest, preds_dir, config,
-                       args.threads)
+    _write_predictions(test_records, test_manifest, preds_dir, DEFAULT_CONFIG)
     print(f"detector: {len(test_records)} test frames scored")
 
     # Later stages score the predictions as written, rounded to six
@@ -254,79 +249,82 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("synth", help="generate a synthetic thermal dataset")
+    # Flags that pipeline shares with a stage's subcommand, declared
+    # once with the library's defaults.
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DatasetSpec.seed)
+    scene = _Parser(add_help=False)
+    scene.add_argument("--occupied-fraction", type=float,
+                       default=DEFAULT_OCCUPIED_FRACTION,
+                       help="fraction of frames with an occupant")
+    scene.add_argument("--scenario", choices=_SCENARIOS, default="mixed",
+                       help="pose/occlusion mix for occupants")
+    scene.add_argument("--sigma", type=float, default=DatasetSpec.noise_sigma,
+                       help="pixel noise sigma in Celsius")
+    fractions = _Parser(add_help=False)
+    fractions.add_argument("--fractions", type=_parse_fractions,
+                           default=DEFAULT_FRACTIONS,
+                           help="train,val,test fractions")
+    tau = _Parser(add_help=False)
+    tau.add_argument("--tau", type=float, default=DEFAULT_TAU,
+                     help="operating confidence threshold")
+    policy = _Parser(add_help=False)
+    policy.add_argument("--on-delay", type=float,
+                        default=ControlPolicy.on_delay,
+                        help="seconds of occupancy before hvac turns on")
+    policy.add_argument("--off-hold", type=float,
+                        default=ControlPolicy.off_hold,
+                        help="seconds of vacancy before hvac turns off")
+
+    p = sub.add_parser("synth", parents=[seed, scene],
+                       help="generate a synthetic thermal dataset")
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.add_argument("--frames", type=int, required=True,
                    help="number of frames to generate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--occupied-fraction", type=float,
-                   default=DEFAULT_OCCUPIED_FRACTION, dest="occupied_fraction",
-                   help="fraction of frames with an occupant")
-    p.add_argument("--scenario", choices=("mixed", "frontal"),
-                   default="mixed", help="pose/occlusion mix for occupants")
-    p.add_argument("--sigma", type=float, default=0.3,
-                   help="pixel noise sigma in Celsius")
-    p.add_argument("--background", type=float, default=22.0,
+    p.add_argument("--background", type=float,
+                   default=DatasetSpec.background_temp,
                    help="background temperature in Celsius")
-    p.add_argument("--start-ts", type=int, default=0, dest="start_ts")
-    p.add_argument("--period", type=int, default=10,
+    p.add_argument("--start-ts", type=int, default=DatasetSpec.start_ts)
+    p.add_argument("--period", type=int, default=DatasetSpec.period,
                    help="seconds between frames")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("split", help="stratified train/val/test split")
+    p = sub.add_parser("split", parents=[seed, fractions],
+                       help="stratified train/val/test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="directory for subset manifests")
-    p.add_argument("--fractions", default="0.6,0.2,0.2",
-                   help="train,val,test fractions")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("detect", help="run the warm-blob detector")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="prediction directory")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--warm-threshold", type=float,
                    default=DEFAULT_CONFIG.warm_threshold,
-                   dest="warm_threshold", help="blob contour in Celsius")
-    p.add_argument("--nms-iou", type=float, default=DEFAULT_CONFIG.nms_iou,
-                   dest="nms_iou")
+                   help="blob contour in Celsius")
+    p.add_argument("--nms-iou", type=float, default=DEFAULT_CONFIG.nms_iou)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("eval", help="score predictions against a manifest")
+    p = sub.add_parser("eval", parents=[tau],
+                       help="score predictions against a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--preds", required=True, help="prediction directory")
     p.add_argument("--out", default=None, help="where to write report JSON")
-    p.add_argument("--tau", type=float, default=0.9,
-                   help="operating confidence threshold")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("occupancy",
+    p = sub.add_parser("occupancy", parents=[tau, policy],
                        help="occupancy timeline and HVAC schedule")
     p.add_argument("--manifest", required=True)
     p.add_argument("--preds", required=True, help="prediction directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tau", type=float, default=0.9)
-    p.add_argument("--on-delay", type=float, default=0.0, dest="on_delay",
-                   help="seconds of occupancy before hvac turns on")
-    p.add_argument("--off-hold", type=float, default=900.0, dest="off_hold",
-                   help="seconds of vacancy before hvac turns off")
     p.set_defaults(func=cmd_occupancy)
 
     p = sub.add_parser("pipeline",
+                       parents=[seed, scene, fractions, tau, policy],
                        help="synth + split + detect + eval + occupancy")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--frames", type=int, default=4836)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--occupied-fraction", type=float,
-                   default=DEFAULT_OCCUPIED_FRACTION, dest="occupied_fraction")
-    p.add_argument("--scenario", choices=("mixed", "frontal"),
-                   default="mixed")
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--fractions", default="0.6,0.2,0.2")
-    p.add_argument("--tau", type=float, default=0.9)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--on-delay", type=float, default=0.0, dest="on_delay")
-    p.add_argument("--off-hold", type=float, default=900.0, dest="off_hold")
+    p.add_argument("--threads", type=int, default=1,
+                   help="number of synth worker processes")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -11,8 +11,7 @@ always produce identical detections.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,9 @@ class DetectorConfig:
     nms_iou: float = 0.5
 
     def __post_init__(self):
+        if not math.isfinite(self.warm_threshold):
+            raise ConfigError(f"warm_threshold must be finite, got "
+                              f"{self.warm_threshold}")
         if not (self.t_warm < self.t_face):
             raise ConfigError(
                 f"need t_warm < t_face, got {self.t_warm} >= {self.t_face}")
@@ -139,26 +141,8 @@ def detect_blobs(frame: ThermalFrame,
 
 
 def detect_manifest(records: list[ManifestRecord], manifest_path: str,
-                    config: DetectorConfig = DEFAULT_CONFIG,
-                    threads: int = 1) -> list[list[Detection]]:
-    """Run the detector over every manifest frame, in manifest order.
-
-    threads caps worker parallelism; results are collected by index so
-    the output is identical for any thread count.
-    """
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-
-    def work(rec: ManifestRecord) -> list[Detection]:
-        return detect_blobs(read_frame(resolve(manifest_path, rec.frame)),
-                            config)
-
-    if threads == 1:
-        return [work(rec) for rec in records]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, records))
-
-
-def prediction_filename(frame_path: str) -> str:
-    """Prediction file name for a frame: its stem plus .txt."""
-    return os.path.splitext(os.path.basename(frame_path))[0] + ".txt"
+                    config: DetectorConfig = DEFAULT_CONFIG
+                    ) -> list[list[Detection]]:
+    """Run the detector over every manifest frame, in manifest order."""
+    return [detect_blobs(read_frame(resolve(manifest_path, rec.frame)), config)
+            for rec in records]

@@ -10,7 +10,7 @@ class ThermoccError(Exception):
     """Base class for all expected (non-bug) failures."""
 
 
-# --- frame codec / sequences ---
+# --- frame codec ---
 
 class FrameFormatError(ThermoccError):
     """Header is not the expected binary PGM layout."""
@@ -26,10 +26,6 @@ class FrameMetadataError(ThermoccError):
 
 class FrameIOError(ThermoccError):
     """A frame file could not be read or written."""
-
-
-class SequenceError(ThermoccError):
-    """Frame timestamps do not form a strictly increasing sequence."""
 
 
 # --- manifests ---
@@ -67,6 +63,10 @@ class AssignmentIntegrityError(ThermoccError):
 
 
 # --- occupancy ---
+
+class SequenceError(ThermoccError):
+    """Frame timestamps do not form a strictly increasing sequence."""
+
 
 class AlignmentError(ThermoccError):
     """Two timelines disagree on their timestamps."""

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .errors import ManifestError
+from .errors import ConfigError, ManifestError
 from .util import read_text, write_text
 
 _KEYS = ("frame", "labels", "occupied", "ts")
@@ -79,3 +79,12 @@ def write_manifest(path: str, records: list[ManifestRecord]) -> None:
 def resolve(manifest_path: str, relative: str) -> str:
     """Resolve a record path against the manifest's directory."""
     return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), relative)
+
+
+def prediction_filenames(records: list[ManifestRecord]) -> list[str]:
+    """Each record's frame stem plus .txt; rejects duplicate stems."""
+    names = [os.path.splitext(os.path.basename(r.frame))[0] + ".txt"
+             for r in records]
+    if len(set(names)) != len(names):
+        raise ConfigError("manifest contains duplicate frame stems")
+    return names

@@ -16,7 +16,7 @@ import numpy as np
 from .annot import Detection, GroundTruthBox, PixelBox, parse_labels, \
     parse_predictions, to_pixel_box
 from .errors import ConfigError
-from .manifest import ManifestRecord, resolve
+from .manifest import ManifestRecord, prediction_filenames, resolve
 from .util import read_text
 
 NATIVE_WIDTH = 128
@@ -24,6 +24,9 @@ NATIVE_HEIGHT = 96
 
 # IoU thresholds for the mAP ladder: 0.50 to 0.95 in 0.05 steps.
 MAP_THRESHOLDS = tuple((50 + 5 * k) / 100 for k in range(10))
+
+# Confidence a detection needs to count at the operating point.
+DEFAULT_TAU = 0.9
 
 
 def iou(a: PixelBox, b: PixelBox) -> float:
@@ -236,18 +239,16 @@ def load_samples(records: list[ManifestRecord], preds_dir: str,
     anything unparseable is a hard error. Duplicate frame stems would
     silently share one prediction file, so they are rejected.
     """
-    stems = [os.path.splitext(os.path.basename(r.frame))[0] for r in records]
-    if len(set(stems)) != len(stems):
-        raise ConfigError("manifest contains duplicate frame stems")
+    names = prediction_filenames(records)
     if not os.path.isdir(preds_dir):
         raise ConfigError(f"predictions directory {preds_dir} is missing")
     samples = []
     missing = 0
-    for rec, stem in zip(records, stems):
+    for rec, name in zip(records, names):
         gts = []
         if rec.labels is not None:
             gts = parse_labels(read_text(resolve(manifest_path, rec.labels)))
-        pred_path = os.path.join(preds_dir, stem + ".txt")
+        pred_path = os.path.join(preds_dir, name)
         preds = []
         if os.path.exists(pred_path):
             preds = parse_predictions(read_text(pred_path))
@@ -257,7 +258,7 @@ def load_samples(records: list[ManifestRecord], preds_dir: str,
     return samples, missing
 
 
-def evaluate(samples, operating_tau: float = 0.9,
+def evaluate(samples, operating_tau: float = DEFAULT_TAU,
              width: int = NATIVE_WIDTH,
              height: int = NATIVE_HEIGHT) -> EvalReport:
     """Score (predictions, gts) pairs, one per frame (see load_samples).

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .annot import Detection
 from .errors import AlignmentError, ConfigError, SequenceError
 from .manifest import ManifestRecord
-from .metrics import precision_recall
+from .metrics import DEFAULT_TAU, precision_recall
 from .util import write_text
 
 
@@ -43,7 +43,7 @@ class OccupancyTimeline:
         return len(self.entries)
 
 
-def frame_occupancy(dets: list[Detection], tau: float = 0.9) -> bool:
+def frame_occupancy(dets: list[Detection], tau: float = DEFAULT_TAU) -> bool:
     """A frame counts as occupied when any detection reaches tau."""
     if not (0.0 <= tau <= 1.0):
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
@@ -52,7 +52,7 @@ def frame_occupancy(dets: list[Detection], tau: float = 0.9) -> bool:
 
 def detection_timeline(timestamps: list[int],
                        detections: list[list[Detection]],
-                       tau: float = 0.9) -> OccupancyTimeline:
+                       tau: float = DEFAULT_TAU) -> OccupancyTimeline:
     """Threshold per-frame detections into an occupancy timeline."""
     if len(timestamps) != len(detections):
         raise AlignmentError(
@@ -116,8 +116,9 @@ class ControlPolicy:
     off_hold: float = 900.0
 
     def __post_init__(self):
-        if self.on_delay < 0 or self.off_hold < 0:
-            raise ConfigError("policy delays must be non-negative")
+        # written so that NaN fails; +inf off_hold means never switch off
+        if not (self.on_delay >= 0 and self.off_hold >= 0):
+            raise ConfigError("policy delays must be non-negative numbers")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,13 @@ class HeadSpec:
             raise SceneSpecError("occlusion fraction must lie in [0, 0.9]")
 
 
+def _check_background(background_temp: float, noise_sigma: float) -> None:
+    if not math.isfinite(background_temp):
+        raise SceneSpecError("background temperature must be finite")
+    if not (0.0 <= noise_sigma < math.inf):
+        raise SceneSpecError("noise sigma must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """One frame: a background and at most one head."""
@@ -74,8 +81,7 @@ class SceneSpec:
     head: HeadSpec | None = None
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise SceneSpecError("noise sigma must be non-negative")
+        _check_background(self.background_temp, self.noise_sigma)
         if (self.head is not None
                 and self.head.peak_temp <= self.background_temp):
             raise SceneSpecError("head peak must exceed the background")
@@ -136,8 +142,7 @@ class DatasetSpec:
             raise SceneSpecError("seed must be non-negative")
         if self.width < 8 or self.height < 8:
             raise SceneSpecError("frames must be at least 8x8")
-        if self.noise_sigma < 0:
-            raise SceneSpecError("noise sigma must be non-negative")
+        _check_background(self.background_temp, self.noise_sigma)
         if self.period < 1:
             raise SceneSpecError("frame period must be at least 1 s")
 
@@ -319,10 +324,10 @@ def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
     Each frame draws from its own (seed, index) stream, so the bytes do
     not depend on workers: with workers > 1 a pool of that many forked
     processes writes every workers-th frame each. fork skips the package
-    import that spawn would repeat per worker, but copies only this
-    thread, so no other thread may hold a lock the workers need (the CLI
-    runs synth before detect starts threads). Without fork, frames are
-    written here.
+    import that spawn would repeat per worker, but copies only the
+    calling thread. thermocc starts no threads of its own, so only a
+    caller's threads could hold a lock the workers need. Without fork,
+    frames are written here.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")

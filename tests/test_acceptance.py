@@ -303,7 +303,7 @@ def test_criterion_5_synthetic_end_to_end(tmp_path):
             manifest_path = generate_dataset(spec, str(tmp_path / name))
             records = read_manifest(manifest_path)
             detections = detect_manifest(records, manifest_path,
-                                         DEFAULT_CONFIG, threads=2)
+                                         DEFAULT_CONFIG)
             preds_dir = tmp_path / name / "preds"
             preds_dir.mkdir()
             for rec, dets in zip(records, detections):
@@ -377,8 +377,7 @@ def test_criterion_7_throughput(tmp_path):
         preds_dir.mkdir()
 
         start = time.perf_counter()
-        detections = detect_manifest(records, manifest_path, DEFAULT_CONFIG,
-                                     threads=1)
+        detections = detect_manifest(records, manifest_path, DEFAULT_CONFIG)
         for rec, dets in zip(records, detections):
             stem = os.path.splitext(os.path.basename(rec.frame))[0]
             (preds_dir / f"{stem}.txt").write_text(

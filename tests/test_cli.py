@@ -151,6 +151,8 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "s")]) == 1
     assert main(["detect", "--manifest", str(tmp_path / "missing.jsonl"),
                  "--out", str(tmp_path / "p")]) == 1
+    assert main(["synth", "--out", str(tmp_path / "nan"), "--frames", "4",
+                 "--background", "nan"]) == 1
 
 
 def test_bad_fractions_fail_cleanly(tmp_path, frontal_dataset):
@@ -169,8 +171,11 @@ def test_bad_tau_fails_cleanly(tmp_path, frontal_dataset):
 
 
 def test_bad_threads_fails_cleanly(tmp_path, frontal_dataset):
+    assert main(["pipeline", "--frames", "40", "--out", str(tmp_path / "r"),
+                 "--threads", "0"]) == 1
+    # detect runs in the calling thread and has no --threads flag
     assert main(["detect", "--manifest", frontal_dataset,
-                 "--out", str(tmp_path / "p"), "--threads", "0"]) == 1
+                 "--out", str(tmp_path / "p"), "--threads", "2"]) == 1
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

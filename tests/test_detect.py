@@ -3,12 +3,12 @@ import pytest
 
 from thermocc.annot import Detection, NormalizedBox, to_pixel_box
 from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
-                             detect_manifest, nms, prediction_filename,
-                             score_blob)
+                             detect_manifest, nms, score_blob)
 from thermocc.errors import ConfigError
 from thermocc.frame import ThermalFrame, decode_frame, encode_frame, \
-    raw_from_celsius
-from thermocc.manifest import read_manifest
+    raw_from_celsius, read_frame
+from thermocc.manifest import (ManifestRecord, prediction_filenames,
+                               read_manifest, resolve)
 from thermocc.synth import DatasetSpec, FRONTAL_SCENARIOS, generate_dataset
 
 
@@ -47,6 +47,9 @@ def test_config_validation():
         DetectorConfig(area_knots=(0.02, 0.005, 0.25, 0.6))
     with pytest.raises(ConfigError):
         DetectorConfig(nms_iou=1.5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            DetectorConfig(warm_threshold=bad)
 
 
 def test_score_blob_saturated():
@@ -210,18 +213,22 @@ def test_detect_deterministic_across_codec():
     assert detect_blobs(frame) == direct
 
 
-def test_detect_manifest_thread_count_is_invisible(tmp_path):
+def test_detect_manifest_is_per_frame_detection_in_order(tmp_path):
     spec = DatasetSpec(frames=24, scenarios=FRONTAL_SCENARIOS, seed=5)
     manifest_path = generate_dataset(spec, str(tmp_path))
-    records = read_manifest(manifest_path)
-    serial = detect_manifest(records, manifest_path, threads=1)
-    threaded = detect_manifest(records, manifest_path, threads=4)
-    assert serial == threaded
-    assert len(serial) == 24
-    with pytest.raises(ConfigError):
-        detect_manifest(records, manifest_path, threads=0)
+    records = read_manifest(manifest_path)[::-1]  # not in ts or file order
+    expected = [detect_blobs(read_frame(resolve(manifest_path, rec.frame)))
+                for rec in records]
+    assert detect_manifest(records, manifest_path) == expected
+    assert len(expected) == 24 and any(expected)
 
 
 def test_prediction_filename():
-    assert prediction_filename("frames/frame_000001.pgm") == "frame_000001.txt"
-    assert prediction_filename("a/b/c.PGM") == "c.txt"
+    def rec(frame):
+        return ManifestRecord(frame, None, False, 0)
+
+    assert prediction_filenames([rec("frames/frame_000001.pgm"),
+                                 rec("a/b/c.PGM")]) == \
+        ["frame_000001.txt", "c.txt"]
+    with pytest.raises(ConfigError):
+        prediction_filenames([rec("a/x.pgm"), rec("b/x.pgm")])

@@ -105,6 +105,11 @@ def test_policy_validation():
         ControlPolicy(on_delay=-1.0)
     with pytest.raises(ConfigError):
         ControlPolicy(off_hold=-0.1)
+    with pytest.raises(ConfigError):
+        ControlPolicy(on_delay=float("nan"))
+    with pytest.raises(ConfigError):
+        ControlPolicy(off_hold=float("nan"))
+    assert ControlPolicy(off_hold=float("inf")).off_hold == float("inf")
     assert ControlPolicy().on_delay == 0.0
     assert ControlPolicy().off_hold == 900.0
 

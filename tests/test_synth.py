@@ -41,6 +41,16 @@ def test_scene_and_dataset_validation():
         DatasetSpec(frames=10, occupied_fraction=1.5)
     with pytest.raises(SceneSpecError):
         DatasetSpec(frames=10, seed=-1)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"background_temp": nan}, {"background_temp": inf},
+                {"background_temp": -inf}, {"noise_sigma": nan},
+                {"noise_sigma": inf}):
+        with pytest.raises(SceneSpecError):
+            SceneSpec(**bad)
+        with pytest.raises(SceneSpecError):
+            SceneSpec(head=HEAD, **bad)
+        with pytest.raises(SceneSpecError):
+            DatasetSpec(frames=10, **bad)
 
 
 def test_empty_scene_is_noise_around_background():

@@ -21,7 +21,7 @@ from .detect import DEFAULT_CONFIG, DetectorConfig, detect_manifest
 from .errors import ConfigError, ThermoccError
 from .manifest import (ManifestRecord, prediction_filenames, read_manifest,
                        resolve, write_manifest)
-from .metrics import DEFAULT_TAU, evaluate, load_samples
+from .metrics import DEFAULT_TAU, check_tau, evaluate, load_samples
 from .occupancy import (ControlPolicy, compare, detection_timeline,
                         manifest_timeline, simulate_control,
                         write_schedule_csv, write_timeline_csv)
@@ -121,7 +121,8 @@ def _report_missing_predictions(missing: int, total: int,
               f"under {preds_dir}; they count as having no detections")
 
 
-def _occupancy(records, predictions, args, out_dir: str):
+def _occupancy(records, predictions, tau: float, policy: ControlPolicy,
+               out_dir: str):
     """Occupancy stage: timelines, confusion and HVAC schedule CSVs.
 
     predictions[i] holds the detections of records[i].
@@ -130,9 +131,8 @@ def _occupancy(records, predictions, args, out_dir: str):
     pairs = sorted(zip((r.ts for r in records), predictions),
                    key=lambda p: p[0])
     detected = detection_timeline([ts for ts, _ in pairs],
-                                  [preds for _, preds in pairs], args.tau)
+                                  [preds for _, preds in pairs], tau)
     confusion = compare(actual, detected)
-    policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     schedule = simulate_control(detected, policy)
     make_dirs(out_dir)
     write_timeline_csv(os.path.join(out_dir, "timeline.csv"), actual, detected)
@@ -186,11 +186,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_occupancy(args) -> int:
+    policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     records = read_manifest(args.manifest)
     samples, missing = load_samples(records, args.preds, args.manifest)
     _report_missing_predictions(missing, len(records), args.preds)
     actual, detected, confusion, schedule = _occupancy(
-        records, [preds for preds, _ in samples], args, args.out)
+        records, [preds for preds, _ in samples], args.tau, policy, args.out)
     write_text(os.path.join(args.out, "occupancy_timeline.svg"),
                timeline_svg(actual, detected, schedule))
     print(f"{len(actual)} frames: occupancy precision "
@@ -202,14 +203,20 @@ def cmd_occupancy(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # Every argument is checked before the first write, so a bad one
+    # leaves no half-written run directory behind.
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    check_tau(args.tau)
+    policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
+    spec = _dataset_spec(args)
     dataset_dir = os.path.join(args.out, "dataset")
     splits_dir = os.path.join(args.out, "splits")
     preds_dir = os.path.join(args.out, "preds")
     occ_dir = os.path.join(args.out, "occupancy")
     plots_dir = os.path.join(args.out, "plots")
 
-    manifest_path = generate_dataset(_dataset_spec(args), dataset_dir,
-                                     args.threads)
+    manifest_path = generate_dataset(spec, dataset_dir, args.threads)
     records = read_manifest(manifest_path)
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
@@ -232,7 +239,8 @@ def cmd_pipeline(args) -> int:
           f"mAP50-95 {eval_report.map50_95:.3f}")
 
     actual, detected, confusion, schedule = _occupancy(
-        test_records, [preds for preds, _ in samples], args, occ_dir)
+        test_records, [preds for preds, _ in samples], args.tau, policy,
+        occ_dir)
     print(f"occupancy: recall {confusion.recall:.3f}, "
           f"missed occupied {confusion.missed_occupied}, "
           f"hvac on fraction {schedule.on_fraction:.3f}")

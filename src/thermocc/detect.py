@@ -1,31 +1,29 @@
 """Warm-blob occupant detector.
 
-A frame is thresholded at a fixed Celsius contour, the warm mask is
-split into 4-connected components, and each component is scored by
-three membership functions (mean temperature ramp, bounding-box area
-fraction trapezoid, bounding-box aspect trapezoid) whose product is
-the detection confidence. Greedy NMS then drops overlapping boxes.
+A frame is thresholded at a fixed Celsius contour, compared on the raw
+counts, the warm mask is split into 4-connected components by joining
+row runs, and each component is scored by three membership functions
+(mean temperature ramp, bounding-box area fraction trapezoid,
+bounding-box aspect trapezoid) whose product is the detection
+confidence. Greedy NMS then drops overlapping boxes.
 The whole pass is arithmetic on the raw frame, so identical frames
 always produce identical detections.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .annot import Detection, PixelBox, from_pixel_box, to_pixel_box
 from .errors import ConfigError
-from .frame import ThermalFrame, read_frame
+from .frame import PGM_MAXVAL, ThermalFrame, celsius_from_raw, read_frame
 from .manifest import ManifestRecord, resolve
 from .metrics import iou
 from .util import clamp
-
-# 4-connectivity: blobs touching only at corners stay separate.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,17 @@ class DetectorConfig:
                                   f"got {knots}")
         if not (0.0 <= self.nms_iou <= 1.0):
             raise ConfigError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
+
+    @functools.cached_property
+    def _raw_cut(self) -> int:
+        """Smallest raw count whose Celsius value reaches warm_threshold.
+
+        celsius_from_raw rises strictly over every count, so
+        `raw >= cut` is exactly `celsius >= warm_threshold`. The cut is
+        PGM_MAXVAL + 1 when no count is warm enough.
+        """
+        return int(np.searchsorted(celsius_from_raw(np.arange(PGM_MAXVAL + 1)),
+                                   self.warm_threshold))
 
 
 DEFAULT_CONFIG = DetectorConfig()
@@ -107,6 +116,76 @@ def nms(dets: list[Detection], iou_thresh: float,
     return [dets[i] for i in kept]
 
 
+def _warm_components(raw: np.ndarray, cut: int
+                     ) -> list[tuple[int, int, int, int, np.ndarray]]:
+    """4-connected components of `raw >= cut`, found from row runs.
+
+    Returns (y0, y1, x0, x1, counts) per component: its half-open
+    bounding box and its raw counts in raster order. Components come in
+    raster order of their first pixel, and NMS's stable sort keeps that
+    order among exact ties.
+    """
+    warm = raw >= cut
+    rows = np.flatnonzero(warm.any(axis=1))
+    if rows.size == 0:
+        return []
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    # A cold column on either side of each row keeps runs from crossing
+    # rows, so in the flattened crop warm runs and cold gaps alternate.
+    # A run's start and stop are flat positions in this padded crop.
+    stride = raw.shape[1] + 2
+    padded = np.zeros((bottom - top, stride), dtype=bool)
+    padded[:, 1:-1] = warm[top:bottom]
+    flat = padded.ravel()
+    edges = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
+    starts, stops = edges[0::2], edges[1::2]
+
+    # Union-find over runs. Each union keeps the lower index as the
+    # root, so a component's root is its first run.
+    parent = list(range(len(starts)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # Run j touches the runs of the row above that overlap its span
+    # moved up one stride. Stops ascend, so i only moves forward.
+    i = 0
+    for j, (start, stop) in enumerate(zip(starts, stops)):
+        while stops[i] <= start - stride:
+            i += 1
+        k = i
+        while starts[k] < stop - stride:
+            a, b = root(k), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+            k += 1
+
+    roots = [root(j) for j in range(len(starts))]
+    members: dict[int, list[int]] = {}  # roots ascend in insertion order
+    for j, r in enumerate(roots):
+        members.setdefault(r, []).append(j)
+    # Warm counts in raster order, which is run order; a stable sort by
+    # root then lays each component's counts out in raster order.
+    counts = raw[top:bottom][warm[top:bottom]]
+    if len(members) > 1:
+        lengths = np.subtract(stops, starts)
+        counts = counts[np.argsort(np.repeat(roots, lengths), kind="stable")]
+    components = []
+    offset = 0
+    for runs in members.values():
+        size = sum(stops[j] - starts[j] for j in runs)
+        components.append((top + starts[runs[0]] // stride,
+                           top + starts[runs[-1]] // stride + 1,
+                           min(starts[j] % stride for j in runs) - 1,
+                           max(stops[j] % stride for j in runs) - 1,
+                           counts[offset:offset + size]))
+        offset += size
+    return components
+
+
 def detect_blobs(frame: ThermalFrame,
                  config: DetectorConfig = DEFAULT_CONFIG) -> list[Detection]:
     """Detect warm blobs in one frame.
@@ -116,20 +195,16 @@ def detect_blobs(frame: ThermalFrame,
     bounding boxes of the components, converted to normalized
     coordinates; zero-score components are dropped.
     """
-    temps = frame.temps_celsius()
-    mask = temps >= config.warm_threshold
-    if not mask.any():
+    cut = config._raw_cut
+    if cut > PGM_MAXVAL:
         return []
-    labels, _ = ndimage.label(mask, structure=_CROSS)
     frame_area = float(frame.width * frame.height)
     dets = []
-    for k, sl in enumerate(ndimage.find_objects(labels), start=1):
-        region = labels[sl] == k
-        member_temps = temps[sl][region]
-        y0, y1 = sl[0].start, sl[0].stop
-        x0, x1 = sl[1].start, sl[1].stop
+    for y0, y1, x0, x1, counts in _warm_components(frame.temps, cut):
+        # The mean sums the same float64 sequence as the Celsius frame
+        # masked to the component would, so it keeps its bits.
         pixel_box = PixelBox(float(x0), float(y0), float(x1), float(y1))
-        conf = score_blob(float(member_temps.mean()),
+        conf = score_blob(float(celsius_from_raw(counts).mean()),
                           pixel_box.area() / frame_area,
                           (y1 - y0) / (x1 - x0), config)
         if conf <= 0.0:

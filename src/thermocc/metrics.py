@@ -29,6 +29,12 @@ MAP_THRESHOLDS = tuple((50 + 5 * k) / 100 for k in range(10))
 DEFAULT_TAU = 0.9
 
 
+def check_tau(tau: float) -> None:
+    """Reject a confidence threshold outside [0, 1], NaN included."""
+    if not (0.0 <= tau <= 1.0):
+        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
+
+
 def iou(a: PixelBox, b: PixelBox) -> float:
     """Intersection over union of two pixel boxes."""
     ix0 = max(a.x0, b.x0)
@@ -267,8 +273,7 @@ def evaluate(samples, operating_tau: float = DEFAULT_TAU,
     operating confidence threshold with IoU 0.5; the mAP figures sweep
     every prediction regardless of the operating threshold.
     """
-    if not (0.0 <= operating_tau <= 1.0):
-        raise ConfigError(f"operating tau must lie in [0, 1], got {operating_tau}")
+    check_tau(operating_tau)
     samples = list(samples)
     if not samples:
         raise ConfigError("manifest holds no records to evaluate")

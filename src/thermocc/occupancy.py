@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .annot import Detection
 from .errors import AlignmentError, ConfigError, SequenceError
 from .manifest import ManifestRecord
-from .metrics import DEFAULT_TAU, precision_recall
+from .metrics import DEFAULT_TAU, check_tau, precision_recall
 from .util import write_text
 
 
@@ -45,8 +45,7 @@ class OccupancyTimeline:
 
 def frame_occupancy(dets: list[Detection], tau: float = DEFAULT_TAU) -> bool:
     """A frame counts as occupied when any detection reaches tau."""
-    if not (0.0 <= tau <= 1.0):
-        raise ConfigError(f"tau must lie in [0, 1], got {tau}")
+    check_tau(tau)
     return any(d.confidence >= tau for d in dets)
 
 

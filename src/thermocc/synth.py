@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annot import GroundTruthBox, NormalizedBox, serialize_labels
-from .errors import ConfigError, SceneSpecError
+from .errors import ConfigError, DataIOError, SceneSpecError
 from .frame import ThermalFrame, raw_from_celsius, write_frame
 from .manifest import ManifestRecord, write_manifest
 from .util import make_dirs, round_half_away, write_text
@@ -325,9 +325,11 @@ def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
     not depend on workers: with workers > 1 a pool of that many forked
     processes writes every workers-th frame each. fork skips the package
     import that spawn would repeat per worker, but copies only the
-    calling thread. thermocc starts no threads of its own, so only a
-    caller's threads could hold a lock the workers need. Without fork,
-    frames are written here.
+    calling thread. The executor forks all its workers before it starts
+    its manager thread, and thermocc starts no threads of its own, so
+    only a caller's threads could hold a lock the workers need. Without
+    fork, frames are written here. A worker that dies, say by a signal,
+    fails the run with DataIOError.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -336,11 +338,20 @@ def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
     make_dirs(os.path.join(out_dir, "labels"))
     shares = [plans[k::workers] for k in range(min(workers, len(plans)))]
     if len(shares) > 1:
-        import multiprocessing  # here, so importing the package stays light
+        # here, so importing the package stays light
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
     if len(shares) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(len(shares)) as pool:
-            pool.map(functools.partial(_write_frames, spec, out_dir=out_dir),
-                     shares, chunksize=1)
+        try:
+            with ProcessPoolExecutor(
+                    len(shares),
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                list(pool.map(functools.partial(_write_frames, spec,
+                                                out_dir=out_dir), shares))
+        except BrokenProcessPool:
+            raise DataIOError(f"a synth worker died before writing its "
+                              f"frames under {out_dir}") from None
     else:
         _write_frames(spec, plans, out_dir)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")

@@ -1,8 +1,9 @@
-"""Brute-force reference matcher that the metrics tests compare against.
+"""Brute-force references that the tests compare the package against.
 
-It lives with the tests, not the package, and shares no helper with
-the production matcher: box scaling, overlap and the greedy assignment
-are recomputed here with plain Python floats.
+They live with the tests, not the package, and share no helper with
+the code they check. The matcher recomputes box scaling, overlap and
+the greedy assignment with plain Python floats; the labeller finds
+connected components by flood fill, pixel by pixel.
 """
 
 from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
@@ -70,3 +71,38 @@ def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
             assignments.append((i, None))
     return MatchResult(tuple(assignments), tp, len(preds) - tp,
                        len(gts) - tp)
+
+
+def flood_fill_components(mask) -> list[tuple[tuple[int, int, int, int],
+                                             list[tuple[int, int]]]]:
+    """4-connected components of a 2-D boolean mask, by flood fill.
+
+    Returns (box, members) per component, in raster order of each
+    component's first pixel. box is (x0, y0, x1, y1), half-open;
+    members are the component's (row, col) pixels in raster order.
+    Pixels that touch only at a corner are not connected.
+    """
+    h, w = len(mask), len(mask[0])
+    seen = [[False] * w for _ in range(h)]
+    components = []
+    for r in range(h):
+        for c in range(w):
+            if not mask[r][c] or seen[r][c]:
+                continue
+            seen[r][c] = True
+            stack = [(r, c)]
+            members = []
+            while stack:
+                y, x = stack.pop()
+                members.append((y, x))
+                for ny, nx in ((y + 1, x), (y - 1, x), (y, x + 1), (y, x - 1)):
+                    if 0 <= ny < h and 0 <= nx < w and mask[ny][nx] \
+                            and not seen[ny][nx]:
+                        seen[ny][nx] = True
+                        stack.append((ny, nx))
+            members.sort()
+            ys = [y for y, _ in members]
+            xs = [x for _, x in members]
+            components.append(((min(xs), min(ys), max(xs) + 1, max(ys) + 1),
+                               members))
+    return components

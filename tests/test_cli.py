@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import thermocc
 from thermocc.cli import main
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import DatasetSpec, generate_dataset, occupied_count
@@ -176,6 +179,39 @@ def test_bad_threads_fails_cleanly(tmp_path, frontal_dataset):
     # detect runs in the calling thread and has no --threads flag
     assert main(["detect", "--manifest", frontal_dataset,
                  "--out", str(tmp_path / "p"), "--threads", "2"]) == 1
+
+
+@pytest.mark.parametrize("bad", [["--tau", "1.5"], ["--tau", "nan"],
+                                 ["--on-delay", "nan"], ["--off-hold", "-1"],
+                                 ["--threads", "0"]])
+def test_pipeline_checks_arguments_before_writing(tmp_path, capsys, bad):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--frames", "40", "--out", str(out)] + bad) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if bad[0] == "--threads":
+        assert "--threads" in err
+
+
+def test_killed_synth_worker_fails_the_run(tmp_path):
+    """A synth worker killed by a signal ends the run with exit 1; it
+    must not leave the pipeline waiting forever."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thermocc.__file__)))
+    code = ("import os, signal, sys\n"
+            "import thermocc.synth\n"
+            "from thermocc.cli import main\n"
+            "def die(*args, **kwargs):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "thermocc.synth._write_frames = die\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "pipeline", "--frames", "40",
+         "--threads", "2", "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "worker" in proc.stderr
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

@@ -1,15 +1,26 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermocc.annot import Detection, NormalizedBox, to_pixel_box
-from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
-                             detect_manifest, nms, score_blob)
+import thermocc
+from thermocc.annot import (Detection, NormalizedBox, PixelBox,
+                            from_pixel_box, to_pixel_box)
+from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, _warm_components,
+                             detect_blobs, detect_manifest, nms, score_blob)
 from thermocc.errors import ConfigError
 from thermocc.frame import ThermalFrame, decode_frame, encode_frame, \
     raw_from_celsius, read_frame
 from thermocc.manifest import (ManifestRecord, prediction_filenames,
                                read_manifest, resolve)
 from thermocc.synth import DatasetSpec, FRONTAL_SCENARIOS, generate_dataset
+
+from oracle import flood_fill_components
 
 
 def frame_from_celsius(temps, ts=0):
@@ -129,35 +140,129 @@ def test_component_boxes_match_bfs_oracle():
         dets = detect_blobs(frame_from_celsius(temps), OPEN_CONFIG)
         got = {tuple(np.round([b.x0, b.y0, b.x1, b.y1], 9))
                for b in (to_pixel_box(d.box, w, h) for d in dets)}
-        want = {(float(c0), float(r0), float(c1), float(r1))
-                for c0, r0, c1, r1 in bfs_boxes(mask)}
+        want = {tuple(float(v) for v in box)
+                for box, _ in flood_fill_components(mask.tolist())}
         assert got == want
 
 
-def bfs_boxes(mask):
+@st.composite
+def warm_masks(draw):
+    """Random masks of every density, plus full masks, checkerboards and
+    single rows or columns."""
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    kind = draw(st.sampled_from(["random", "full", "checker", "row",
+                                 "column"]))
+    if kind == "full":
+        return np.ones((h, w), dtype=bool)
+    if kind == "checker":
+        yy, xx = np.indices((h, w))
+        return (yy + xx) % 2 == draw(st.integers(0, 1))
+    if kind == "row":
+        h = 1
+    elif kind == "column":
+        w = 1
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(warm_masks())
+def test_warm_components_match_flood_fill(mask):
+    """The run labeller finds the flood fill's components, in the same
+    order, with the same boxes and the same members in raster order."""
     h, w = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
-    boxes = []
-    for r in range(h):
-        for c in range(w):
-            if not mask[r, c] or seen[r, c]:
-                continue
-            stack = [(r, c)]
-            seen[r, c] = True
-            rmin = rmax = r
-            cmin = cmax = c
-            while stack:
-                y, x = stack.pop()
-                rmin, rmax = min(rmin, y), max(rmax, y)
-                cmin, cmax = min(cmin, x), max(cmax, x)
-                for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ny, nx = y + dy, x + dx
-                    if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] \
-                            and not seen[ny, nx]:
-                        seen[ny, nx] = True
-                        stack.append((ny, nx))
-            boxes.append((cmin, rmin, cmax + 1, rmax + 1))
-    return boxes
+    # each warm pixel's count is 1 + its raster index, so the counts the
+    # labeller returns name the member pixels
+    raw = np.where(mask, 1 + np.arange(h * w).reshape(h, w), 0)
+    got = [((x0, y0, x1, y1), (counts.astype(int) - 1).tolist())
+           for y0, y1, x0, x1, counts in
+           _warm_components(raw.astype(np.uint16), 1)]
+    want = [(box, [r * w + c for r, c in members])
+            for box, members in flood_fill_components(mask.tolist())]
+    assert got == want
+
+
+def oracle_detect(frame, config):
+    """detect_blobs rebuilt on the flood-fill labeller and the Celsius
+    mask: each component's mean is taken over its pixels in raster
+    order, as the detector's contract requires."""
+    temps = frame.temps_celsius()
+    mask = temps >= config.warm_threshold
+    dets = []
+    for (x0, y0, x1, y1), members in flood_fill_components(mask.tolist()):
+        rows, cols = zip(*members)
+        box = PixelBox(float(x0), float(y0), float(x1), float(y1))
+        conf = score_blob(float(temps[list(rows), list(cols)].mean()),
+                          box.area() / (frame.width * frame.height),
+                          (y1 - y0) / (x1 - x0), config)
+        if conf > 0.0:
+            dets.append(Detection(0, from_pixel_box(box, frame.width,
+                                                    frame.height), conf))
+    return nms(dets, config.nms_iou, frame.width, frame.height)
+
+
+def test_detect_matches_oracle_on_varied_temperatures():
+    """Boxes, order and confidences, bit for bit, on blobs whose pixels
+    differ in temperature."""
+    rng = np.random.default_rng(5)
+    config = dataclasses.replace(OPEN_CONFIG, t_face=40.0)
+    for _ in range(40):
+        h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        temps = np.where(rng.random((h, w)) < rng.random(),
+                         rng.uniform(29.0, 40.0, (h, w)), 22.0)
+        frame = frame_from_celsius(temps)
+        assert detect_blobs(frame, config) == oracle_detect(frame, config)
+
+
+@pytest.mark.parametrize("pattern", ["checkerboard", "speckle"])
+def test_dense_frame_matches_oracle(pattern):
+    """Worst case for a run labeller: hundreds to thousands of tiny
+    components on a full-size frame. No time bound: on such frames the
+    per-component scoring costs more than the labelling."""
+    yy, xx = np.indices((96, 128))
+    if pattern == "checkerboard":
+        mask = (yy + xx) % 2 == 0
+    else:
+        mask = np.random.default_rng(3).random((96, 128)) < 0.5
+    frame = frame_from_celsius(np.where(mask, 34.0, 22.0))
+    components = _warm_components(frame.temps, DEFAULT_CONFIG._raw_cut)
+    assert [(x0, y0, x1, y1) for y0, y1, x0, x1, _ in components] == \
+        [box for box, _ in flood_fill_components(mask.tolist())]
+    assert len(components) > 500
+    assert detect_blobs(frame) == oracle_detect(frame, DEFAULT_CONFIG)
+
+
+def test_threshold_edges_of_the_raw_range():
+    """The cut on raw counts covers the whole 16-bit range: 0 is
+    -273.15 C and 65535 is 382.2 C."""
+    assert DEFAULT_CONFIG._raw_cut == 30315
+    hottest = ThermalFrame(128, 96, np.full((96, 128), 65535, np.uint16), 0)
+    whole = dataclasses.replace(OPEN_CONFIG, area_knots=(1e-9, 2e-9, 1.0, 2.0))
+    for threshold in (382.21, 1000.0):
+        config = dataclasses.replace(whole, warm_threshold=threshold)
+        assert config._raw_cut == 65536
+        assert detect_blobs(hottest, config) == []
+    for threshold, frame in ((382.2, hottest), (-273.15, uniform_frame(22.0)),
+                             (-1000.0, uniform_frame(22.0))):
+        config = dataclasses.replace(whole, warm_threshold=threshold)
+        dets = detect_blobs(frame, config)
+        assert len(dets) == 1
+        box = to_pixel_box(dets[0].box, 128, 96)
+        assert (box.x0, box.y0, box.x1, box.y1) == (0.0, 0.0, 128.0, 96.0)
+
+
+def test_cli_import_loads_no_scipy():
+    """Start-up stays light: importing the CLI pulls in no scipy module,
+    which once cost most of the CLI's start-up time."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thermocc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, thermocc.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_diagonal_blobs_stay_separate():

@@ -315,6 +315,26 @@ def test_worker_write_error_reaches_caller(tmp_path):
             generate_dataset(DatasetSpec(frames=4, seed=1), str(out), workers)
 
 
+def test_workers_fork_before_any_thread_starts(tmp_path, monkeypatch):
+    """fork copies only the calling thread, so the pool must fork every
+    worker before it starts a thread of its own."""
+    import multiprocessing.context
+    import threading
+
+    baseline = threading.active_count()
+    seen = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        seen.append(threading.active_count())
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        counting_start)
+    generate_dataset(DatasetSpec(frames=6, seed=1), str(tmp_path / "d"), 3)
+    assert seen == [baseline] * 3
+
+
 def _full_frame_render(scene, rng, width, height):
     """Reference rasterizer: evaluates the ellipse over every pixel of
     the frame. Returns the float temperatures and the ground truth."""

@@ -29,7 +29,8 @@ from .plots import emit_plots, timeline_svg
 from .split import (DEFAULT_FRACTIONS, SplitFractions, stratified_split,
                     verify_ratio)
 from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
-                    MIXED_SCENARIOS, DatasetSpec, generate_dataset)
+                    MIXED_SCENARIOS, DatasetSpec, generate_dataset,
+                    manifest_records, plan_dataset)
 from .util import make_dirs, write_text
 
 
@@ -77,13 +78,11 @@ def _dataset_spec(args, **extra) -> DatasetSpec:
                        noise_sigma=args.sigma, **extra)
 
 
-def _write_split(records, manifest_path: str, fractions: SplitFractions,
-                 seed: int, out_dir: str):
+def _write_split(records, assignment, manifest_path: str, out_dir: str):
     """Split stage: subset manifests rebased onto out_dir, ratio report.
 
     Returns ({subset name: (manifest path, records written)}, report).
     """
-    assignment = stratified_split(records, fractions, seed)
     make_dirs(out_dir)
     out_abs = os.path.abspath(out_dir)
     subsets = {}
@@ -153,8 +152,8 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     records = read_manifest(args.manifest)
-    _, report = _write_split(records, args.manifest, args.fractions,
-                             args.seed, args.out)
+    assignment = stratified_split(records, args.fractions, args.seed)
+    _, report = _write_split(records, assignment, args.manifest, args.out)
     for name, stats in report.subsets.items():
         ratio = "inf" if stats.ratio == float("inf") else f"{stats.ratio:.3f}"
         print(f"{name}: {stats.total} frames ({stats.occupied} occupied / "
@@ -203,13 +202,17 @@ def cmd_occupancy(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # Every argument is checked before the first write, so a bad one
-    # leaves no half-written run directory behind.
+    # Every argument is checked, and the split made from the plan, before
+    # the first write, so a bad one leaves no half-written run behind.
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     spec = _dataset_spec(args)
+    records = manifest_records(plan_dataset(spec))
+    assignment = stratified_split(records, args.fractions, args.seed)
+    if not assignment.test:
+        raise ConfigError("the split leaves the test subset empty")
     dataset_dir = os.path.join(args.out, "dataset")
     splits_dir = os.path.join(args.out, "splits")
     preds_dir = os.path.join(args.out, "preds")
@@ -217,11 +220,9 @@ def cmd_pipeline(args) -> int:
     plots_dir = os.path.join(args.out, "plots")
 
     manifest_path = generate_dataset(spec, dataset_dir, args.threads)
-    records = read_manifest(manifest_path)
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
-    subsets, _ = _write_split(records, manifest_path, args.fractions,
-                              args.seed, splits_dir)
+    subsets, _ = _write_split(records, assignment, manifest_path, splits_dir)
     test_manifest, test_records = subsets["test"]
     del subsets  # frees the train and val records, which no later stage uses
 

@@ -22,7 +22,7 @@ from .annot import Detection, PixelBox, from_pixel_box, to_pixel_box
 from .errors import ConfigError
 from .frame import PGM_MAXVAL, ThermalFrame, celsius_from_raw, read_frame
 from .manifest import ManifestRecord, resolve
-from .metrics import iou
+from .metrics import iou, visit_order
 from .util import clamp
 
 
@@ -100,17 +100,13 @@ def nms(dets: list[Detection], iou_thresh: float,
         width: int, height: int) -> list[Detection]:
     """Greedy non-maximum suppression.
 
-    Detections are visited in descending confidence (ties by pixel y0
-    then x0); each is kept only if its IoU with every previously kept
-    box stays below iou_thresh. The result preserves that visit order,
-    is a subset of the input, and is idempotent.
+    Detections are visited in metrics.visit_order; each is kept only if
+    its IoU with every box kept before stays below iou_thresh. The result
+    keeps that order, is a subset of the input, and is idempotent.
     """
     boxes = [to_pixel_box(d.box, width, height) for d in dets]
-    order = sorted(range(len(dets)),
-                   key=lambda i: (-dets[i].confidence,
-                                  boxes[i].y0, boxes[i].x0))
     kept: list[int] = []
-    for i in order:
+    for i in visit_order(dets, boxes):
         if all(iou(boxes[i], boxes[j]) < iou_thresh for j in kept):
             kept.append(i)
     return [dets[i] for i in kept]
@@ -122,8 +118,8 @@ def _warm_components(raw: np.ndarray, cut: int
 
     Returns (y0, y1, x0, x1, counts) per component: its half-open
     bounding box and its raw counts in raster order. Components come in
-    raster order of their first pixel, and NMS's stable sort keeps that
-    order among exact ties.
+    raster order of their first pixel, and visit_order keeps that order
+    among exact ties.
     """
     warm = raw >= cut
     rows = np.flatnonzero(warm.any(axis=1))
@@ -190,10 +186,10 @@ def detect_blobs(frame: ThermalFrame,
                  config: DetectorConfig = DEFAULT_CONFIG) -> list[Detection]:
     """Detect warm blobs in one frame.
 
-    Returns detections sorted by descending confidence (ties by pixel
-    y0, x0), already thinned by NMS. Boxes are the tight pixel
-    bounding boxes of the components, converted to normalized
-    coordinates; zero-score components are dropped.
+    Returns detections in metrics.visit_order, already thinned by NMS.
+    Boxes are the tight pixel bounding boxes of the components,
+    converted to normalized coordinates; zero-score components are
+    dropped.
     """
     cut = config._raw_cut
     if cut > PGM_MAXVAL:
@@ -211,8 +207,7 @@ def detect_blobs(frame: ThermalFrame,
             continue
         dets.append(Detection(0, from_pixel_box(pixel_box, frame.width,
                                                 frame.height), conf))
-    dets = nms(dets, config.nms_iou, frame.width, frame.height)
-    return dets
+    return nms(dets, config.nms_iou, frame.width, frame.height)
 
 
 def detect_manifest(records: list[ManifestRecord], manifest_path: str,

@@ -50,12 +50,20 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     return inter / union
 
 
+def visit_order(dets: list[Detection], boxes: list[PixelBox]) -> list[int]:
+    """Indices of dets as NMS and matching visit them: descending
+    confidence, ties by pixel y0, then x0, then index. boxes[i] is the
+    pixel box of dets[i]."""
+    return sorted(range(len(dets)),
+                  key=lambda i: (-dets[i].confidence, boxes[i].y0, boxes[i].x0))
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of matching one image's predictions to its ground truth.
 
     assignments holds (prediction index, matched gt index or None) in
-    the order predictions were visited (descending confidence).
+    the order predictions were visited (visit_order).
     """
 
     assignments: tuple[tuple[int, int | None], ...]
@@ -70,21 +78,17 @@ def match_detections(preds: list[Detection], gts: list[GroundTruthBox],
                      height: int = NATIVE_HEIGHT) -> MatchResult:
     """Greedily match predictions to ground-truth boxes.
 
-    Predictions are visited in descending confidence (ties broken by
-    the box's pixel y0 then x0). Each takes the still-unmatched ground
-    truth with the highest IoU, ties going to the lowest gt index, and
-    counts as a true positive when that IoU reaches iou_thresh. Each
-    ground truth is consumed at most once.
+    Predictions are visited in visit_order. Each takes the
+    still-unmatched ground truth with the highest IoU, ties going to the
+    lowest gt index, and counts as a true positive when that IoU reaches
+    iou_thresh. Each ground truth is consumed at most once.
     """
     pboxes = [to_pixel_box(d.box, width, height) for d in preds]
     gboxes = [to_pixel_box(g.box, width, height) for g in gts]
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i].confidence,
-                                  pboxes[i].y0, pboxes[i].x0))
     taken = [False] * len(gts)
     assignments = []
     tp = 0
-    for i in order:
+    for i in visit_order(preds, pboxes):
         best_j = None
         best = 0.0
         for j, gb in enumerate(gboxes):
@@ -133,23 +137,22 @@ def pr_curve(samples, iou_thresh: float = 0.5,
     predictions in descending confidence, the matches of any
     confidence prefix equal the prefix of the full match, so one pass
     labels every prediction TP or FP for the whole sweep. Ranks order
-    by confidence descending with (image index, y0, x0) tie-breaks.
+    by confidence descending, then image index, then position in the
+    match's assignments, which follow visit_order; positions are unique
+    within an image, so the TP flag never decides.
     """
     entries = []
     total_gts = 0
     for img_id, (preds, gts) in enumerate(samples):
         total_gts += len(gts)
         result = match_detections(preds, gts, iou_thresh, width, height)
-        matched = {i for i, j in result.assignments if j is not None}
-        for i, det in enumerate(preds):
-            pb = to_pixel_box(det.box, width, height)
-            entries.append((-det.confidence, img_id, pb.y0, pb.x0,
-                            i in matched))
-    entries.sort(key=lambda e: e[:4])
+        entries += [(-preds[i].confidence, img_id, pos, j is not None)
+                    for pos, (i, j) in enumerate(result.assignments)]
+    entries.sort()
     points = []
     cum_tp = 0
-    for rank, entry in enumerate(entries, start=1):
-        cum_tp += bool(entry[4])
+    for rank, (_, _, _, hit) in enumerate(entries, start=1):
+        cum_tp += hit
         recall = cum_tp / total_gts if total_gts > 0 else 1.0
         points.append((recall, cum_tp / rank))
     return PRCurve(tuple(points), total_gts)

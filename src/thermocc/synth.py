@@ -59,10 +59,14 @@ class HeadSpec:
             raise SceneSpecError("head center must lie in the unit square")
         if not (0.0 < self.rx <= 0.5 and 0.0 < self.ry <= 0.5):
             raise SceneSpecError("head radii must lie in (0, 0.5]")
-        if self.orientation not in ORIENTATIONS:
-            raise SceneSpecError(f"unknown orientation {self.orientation!r}")
-        if not (0.0 <= self.occlusion <= 0.9):
-            raise SceneSpecError("occlusion fraction must lie in [0, 0.9]")
+        _check_pose(self.orientation, self.occlusion)
+
+
+def _check_pose(orientation: str, occlusion: float) -> None:
+    if orientation not in ORIENTATIONS:
+        raise SceneSpecError(f"unknown orientation {orientation!r}")
+    if not (0.0 <= occlusion <= 0.9):
+        raise SceneSpecError("occlusion fraction must lie in [0, 0.9]")
 
 
 def _check_background(background_temp: float, noise_sigma: float) -> None:
@@ -96,10 +100,7 @@ class Scenario:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise SceneSpecError(f"unknown orientation {self.orientation!r}")
-        if not (0.0 <= self.occlusion <= 0.9):
-            raise SceneSpecError("occlusion fraction must lie in [0, 0.9]")
+        _check_pose(self.orientation, self.occlusion)
         if not (self.weight > 0):
             raise SceneSpecError("scenario weight must be positive")
 
@@ -302,19 +303,21 @@ def render_frame(spec: DatasetSpec,
     return _render(scene, rng, spec.width, spec.height, plan.ts)
 
 
-def _stem(plan: FramePlan) -> str:
-    return f"frame_{plan.index:06d}"
+def manifest_records(plans: list[FramePlan]) -> list[ManifestRecord]:
+    """The records of the manifest generate_dataset writes for plans;
+    their paths, relative to the dataset directory, name every file."""
+    return [ManifestRecord(frame=f"frames/frame_{p.index:06d}.pgm",
+                           labels=f"labels/frame_{p.index:06d}.txt",
+                           occupied=p.occupied, ts=p.ts) for p in plans]
 
 
 def _write_frames(spec: DatasetSpec, plans: list[FramePlan],
                   out_dir: str) -> None:
     """Render the planned frames into out_dir's frames/ and labels/."""
-    for plan in plans:
+    for plan, rec in zip(plans, manifest_records(plans)):
         frame, gts = render_frame(spec, plan)
-        stem = _stem(plan)
-        write_frame(os.path.join(out_dir, "frames", stem + ".pgm"), frame)
-        write_text(os.path.join(out_dir, "labels", stem + ".txt"),
-                   serialize_labels(gts))
+        write_frame(os.path.join(out_dir, rec.frame), frame)
+        write_text(os.path.join(out_dir, rec.labels), serialize_labels(gts))
 
 
 def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
@@ -355,8 +358,5 @@ def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
     else:
         _write_frames(spec, plans, out_dir)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    write_manifest(manifest_path, [
-        ManifestRecord(frame=f"frames/{_stem(p)}.pgm",
-                       labels=f"labels/{_stem(p)}.txt",
-                       occupied=p.occupied, ts=p.ts) for p in plans])
+    write_manifest(manifest_path, manifest_records(plans))
     return manifest_path

@@ -183,7 +183,10 @@ def test_bad_threads_fails_cleanly(tmp_path, frontal_dataset):
 
 @pytest.mark.parametrize("bad", [["--tau", "1.5"], ["--tau", "nan"],
                                  ["--on-delay", "nan"], ["--off-hold", "-1"],
-                                 ["--threads", "0"]])
+                                 ["--threads", "0"],
+                                 # an empty test subset, an infeasible split
+                                 ["--frames", "3"],
+                                 ["--fractions", "0.1,0.45,0.45"]])
 def test_pipeline_checks_arguments_before_writing(tmp_path, capsys, bad):
     out = tmp_path / "run"
     assert main(["pipeline", "--frames", "40", "--out", str(out)] + bad) == 1

@@ -291,6 +291,20 @@ def test_nms_keeps_disjoint():
     assert nms([b, a], 0.5, 128, 96) == [a, b]
 
 
+@pytest.mark.parametrize("survivor, loser", [
+    ((10, 10, 30, 30), (10, 12, 30, 32)),  # lower y0
+    ((10, 10, 30, 30), (12, 10, 32, 30)),  # same y0, lower x0
+    ((14, 10, 34, 30), (10, 12, 30, 32)),  # y0 decides before x0
+])
+def test_nms_exact_confidence_tie(survivor, loser):
+    """On equal confidence the box with the lower pixel y0, then x0,
+    survives, whatever the input order."""
+    keep, drop = (Detection(0, from_pixel_box(PixelBox(*b), 128, 96), 0.75)
+                  for b in (survivor, loser))
+    assert nms([keep, drop], 0.5, 128, 96) == [keep]
+    assert nms([drop, keep], 0.5, 128, 96) == [keep]
+
+
 def test_nms_idempotent_and_subset():
     rng = np.random.default_rng(13)
     for _ in range(200):

@@ -35,6 +35,10 @@ def test_scene_and_dataset_validation():
         SceneSpec(noise_sigma=-0.1)
     with pytest.raises(SceneSpecError):
         Scenario(weight=0.0)
+    with pytest.raises(SceneSpecError, match="unknown orientation"):
+        Scenario(orientation="upside")
+    with pytest.raises(SceneSpecError, match="occlusion"):
+        Scenario(occlusion=float("nan"))
     with pytest.raises(SceneSpecError):
         DatasetSpec(frames=0)
     with pytest.raises(SceneSpecError):

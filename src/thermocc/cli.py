@@ -30,8 +30,8 @@ from .split import (DEFAULT_FRACTIONS, SplitFractions, stratified_split,
                     verify_ratio)
 from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                     MIXED_SCENARIOS, DatasetSpec, generate_dataset,
-                    manifest_records, plan_dataset)
-from .util import make_dirs, write_text
+                    manifest_records, plan_dataset, write_dataset)
+from .util import make_dirs, write_text, write_text_atomic
 
 
 class _UsageError(Exception):
@@ -99,8 +99,8 @@ def _write_split(records, assignment, manifest_path: str, out_dir: str):
         subsets[name] = (os.path.join(out_dir, f"{name}.jsonl"), subset)
         write_manifest(*subsets[name])
     report = verify_ratio(assignment, records)
-    write_text(os.path.join(out_dir, "ratio_report.json"),
-               json.dumps(report.to_dict(), indent=2) + "\n")
+    write_text_atomic(os.path.join(out_dir, "ratio_report.json"),
+                      json.dumps(report.to_dict(), indent=2) + "\n")
     return subsets, report
 
 
@@ -177,7 +177,7 @@ def cmd_eval(args) -> int:
     report = evaluate(samples, operating_tau=args.tau)
     _report_missing_predictions(missing, len(records), args.preds)
     if args.out:
-        write_text(args.out, report.to_json())
+        write_text_atomic(args.out, report.to_json())
     print(f"precision {report.precision:.3f}  recall {report.recall:.3f}  "
           f"mAP50 {report.map50:.3f}  mAP50-95 {report.map50_95:.3f}  "
           f"(tau {report.operating_tau})")
@@ -191,8 +191,8 @@ def cmd_occupancy(args) -> int:
     _report_missing_predictions(missing, len(records), args.preds)
     actual, detected, confusion, schedule = _occupancy(
         records, [preds for preds, _ in samples], args.tau, policy, args.out)
-    write_text(os.path.join(args.out, "occupancy_timeline.svg"),
-               timeline_svg(actual, detected, schedule))
+    write_text_atomic(os.path.join(args.out, "occupancy_timeline.svg"),
+                      timeline_svg(actual, detected, schedule))
     print(f"{len(actual)} frames: occupancy precision "
           f"{confusion.precision:.3f}, recall {confusion.recall:.3f}, "
           f"missed occupied {confusion.missed_occupied}")
@@ -209,7 +209,8 @@ def cmd_pipeline(args) -> int:
     check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     spec = _dataset_spec(args)
-    records = manifest_records(plan_dataset(spec))
+    plans = plan_dataset(spec)
+    records = manifest_records(plans)
     assignment = stratified_split(records, args.fractions, args.seed)
     if not assignment.test:
         raise ConfigError("the split leaves the test subset empty")
@@ -219,7 +220,8 @@ def cmd_pipeline(args) -> int:
     occ_dir = os.path.join(args.out, "occupancy")
     plots_dir = os.path.join(args.out, "plots")
 
-    manifest_path = generate_dataset(spec, dataset_dir, args.threads)
+    manifest_path = write_dataset(spec, plans, dataset_dir, args.threads)
+    del plans
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
     subsets, _ = _write_split(records, assignment, manifest_path, splits_dir)
@@ -233,7 +235,8 @@ def cmd_pipeline(args) -> int:
     # decimals, so they agree with `eval` and `occupancy` run on preds/.
     samples, _ = load_samples(test_records, preds_dir, test_manifest)
     eval_report = evaluate(samples, operating_tau=args.tau)
-    write_text(os.path.join(args.out, "report.json"), eval_report.to_json())
+    write_text_atomic(os.path.join(args.out, "report.json"),
+                      eval_report.to_json())
     print(f"eval: precision {eval_report.precision:.3f}  "
           f"recall {eval_report.recall:.3f}  "
           f"mAP50 {eval_report.map50:.3f}  "

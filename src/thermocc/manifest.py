@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, ManifestError
-from .util import read_text, write_text
+from .util import read_text, write_text_atomic
 
 _KEYS = ("frame", "labels", "occupied", "ts")
 
@@ -73,7 +73,7 @@ def write_manifest(path: str, records: list[ManifestRecord]) -> None:
             {"frame": rec.frame, "labels": rec.labels,
              "occupied": rec.occupied, "ts": rec.ts},
             separators=(", ", ": ")))
-    write_text(path, "\n".join(out + [""]))
+    write_text_atomic(path, "\n".join(out + [""]))
 
 
 def resolve(manifest_path: str, relative: str) -> str:

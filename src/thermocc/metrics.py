@@ -72,6 +72,35 @@ class MatchResult:
     fn: int
 
 
+def _match_image(preds: list[Detection], gts: list[GroundTruthBox],
+                 thresholds, width: int, height: int):
+    """Match one image at each IoU threshold: boxes are converted, ranked
+    and overlapped once, and only the greedy scan reruns per threshold.
+    Returns (order, matches): order is visit_order, and matches[k][pos]
+    the gt index prediction order[pos] took at thresholds[k], or None.
+    """
+    pboxes = [to_pixel_box(d.box, width, height) for d in preds]
+    gboxes = [to_pixel_box(g.box, width, height) for g in gts]
+    order = visit_order(preds, pboxes)
+    rows = [[iou(pboxes[i], gb) for gb in gboxes] for i in order]
+    matches = []
+    for thresh in thresholds:
+        taken = [False] * len(gts)
+        found = []
+        for row in rows:
+            best_j, best = None, 0.0
+            for j, v in enumerate(row):
+                if v > best and not taken[j]:
+                    best_j, best = j, v
+            if best_j is not None and best >= thresh:
+                taken[best_j] = True
+            else:
+                best_j = None
+            found.append(best_j)
+        matches.append(found)
+    return order, matches
+
+
 def match_detections(preds: list[Detection], gts: list[GroundTruthBox],
                      iou_thresh: float = 0.5,
                      width: int = NATIVE_WIDTH,
@@ -83,28 +112,9 @@ def match_detections(preds: list[Detection], gts: list[GroundTruthBox],
     lowest gt index, and counts as a true positive when that IoU reaches
     iou_thresh. Each ground truth is consumed at most once.
     """
-    pboxes = [to_pixel_box(d.box, width, height) for d in preds]
-    gboxes = [to_pixel_box(g.box, width, height) for g in gts]
-    taken = [False] * len(gts)
-    assignments = []
-    tp = 0
-    for i in visit_order(preds, pboxes):
-        best_j = None
-        best = 0.0
-        for j, gb in enumerate(gboxes):
-            if taken[j]:
-                continue
-            v = iou(pboxes[i], gb)
-            if v > best:
-                best = v
-                best_j = j
-        if best_j is not None and best >= iou_thresh:
-            taken[best_j] = True
-            tp += 1
-            assignments.append((i, best_j))
-        else:
-            assignments.append((i, None))
-    return MatchResult(tuple(assignments), tp,
+    order, (found,) = _match_image(preds, gts, (iou_thresh,), width, height)
+    tp = sum(j is not None for j in found)
+    return MatchResult(tuple(zip(order, found)), tp,
                        len(preds) - tp, len(gts) - tp)
 
 
@@ -128,34 +138,57 @@ class PRCurve:
     total_gts: int
 
 
+def _sweep(samples, thresholds, width: int, height: int):
+    """Match every image once for all thresholds and rank all predictions
+    once: confidence descending, then image, then visit_order position.
+    The greedy pass visits predictions by descending confidence, so the
+    match of a confidence prefix is the prefix of the full match, and one
+    pass labels every prediction TP or FP for the whole sweep. Returns
+    (curve, aps, conf, cum_tp): the PR curve at thresholds[0], the AP at
+    each threshold, and, in rank order, the confidences and the running
+    TP count at thresholds[0].
+    """
+    conf = []
+    hits = [bytearray() for _ in thresholds]
+    total_gts = 0
+    for preds, gts in samples:
+        total_gts += len(gts)
+        order, matches = _match_image(preds, gts, thresholds, width, height)
+        conf += [preds[i].confidence for i in order]
+        for flags, found in zip(hits, matches):
+            flags.extend(j is not None for j in found)
+    conf = np.array(conf, dtype=np.float64)
+    rank = np.argsort(-conf, kind="stable")  # ties keep image, visit order
+
+    def rates(flags):  # running TP count, recall and precision
+        cum_tp = np.cumsum(np.frombuffer(flags, dtype=np.uint8)[rank],
+                           dtype=np.int64)
+        recall = cum_tp / total_gts if total_gts > 0 else np.ones(len(rank))
+        return cum_tp, recall, cum_tp / np.arange(1, len(rank) + 1)
+
+    aps = tuple(_interpolated_ap(*rates(flags)[1:]) for flags in hits)
+    cum_tp, recall, precision = rates(hits[0])
+    curve = PRCurve(tuple(zip(recall.tolist(), precision.tolist())),
+                    total_gts)
+    return curve, aps, conf[rank], cum_tp
+
+
 def pr_curve(samples, iou_thresh: float = 0.5,
              width: int = NATIVE_WIDTH,
              height: int = NATIVE_HEIGHT) -> PRCurve:
-    """Sweep confidence over a dataset of (predictions, gts) pairs.
+    """Sweep confidence over a dataset of (predictions, gts) pairs,
+    ranked as _sweep describes."""
+    return _sweep(samples, (iou_thresh,), width, height)[0]
 
-    Matching runs per image once; because the greedy pass visits
-    predictions in descending confidence, the matches of any
-    confidence prefix equal the prefix of the full match, so one pass
-    labels every prediction TP or FP for the whole sweep. Ranks order
-    by confidence descending, then image index, then position in the
-    match's assignments, which follow visit_order; positions are unique
-    within an image, so the TP flag never decides.
-    """
-    entries = []
-    total_gts = 0
-    for img_id, (preds, gts) in enumerate(samples):
-        total_gts += len(gts)
-        result = match_detections(preds, gts, iou_thresh, width, height)
-        entries += [(-preds[i].confidence, img_id, pos, j is not None)
-                    for pos, (i, j) in enumerate(result.assignments)]
-    entries.sort()
-    points = []
-    cum_tp = 0
-    for rank, (_, _, _, hit) in enumerate(entries, start=1):
-        cum_tp += hit
-        recall = cum_tp / total_gts if total_gts > 0 else 1.0
-        points.append((recall, cum_tp / rank))
-    return PRCurve(tuple(points), total_gts)
+
+def _interpolated_ap(rec, prec) -> float:
+    if not len(rec):
+        return 0.0
+    suffix_max = np.maximum.accumulate(prec[::-1])[::-1]
+    grid = np.arange(101) / 100.0
+    idx = np.searchsorted(rec, grid, side="left")
+    hit = idx < len(rec)
+    return float(suffix_max[idx[hit]].sum() / 101.0)
 
 
 def average_precision(curve: PRCurve) -> float:
@@ -165,47 +198,19 @@ def average_precision(curve: PRCurve) -> float:
     precision among curve points whose recall is at least r; grid
     points beyond the final recall contribute zero.
     """
-    if not curve.points:
-        return 0.0
-    rec = np.array([p[0] for p in curve.points])
-    prec = np.array([p[1] for p in curve.points])
-    suffix_max = np.maximum.accumulate(prec[::-1])[::-1]
-    grid = np.arange(101) / 100.0
-    idx = np.searchsorted(rec, grid, side="left")
-    hit = idx < len(rec)
-    return float(suffix_max[idx[hit]].sum() / 101.0)
-
-
-def _ladder(samples, width: int, height: int):
-    """Sweep the MAP_THRESHOLDS ladder once.
-
-    Returns (map50, map50_95, ap_per_iou, curve50), curve50 being the
-    IoU 0.50 PR curve. Raises ConfigError when the samples contain
-    neither ground truths nor predictions, because a mean over nothing
-    is meaningless.
-    """
-    samples = list(samples)
-    n_gts = sum(len(gts) for _, gts in samples)
-    n_preds = sum(len(preds) for preds, _ in samples)
-    if n_gts == 0 and n_preds == 0:
-        raise ConfigError("no ground truths and no predictions to score")
-    # A curve holds a point per prediction. Only the IoU 0.50 one is
-    # kept, and it is swept last, so that at most one curve is alive at
-    # a time and peak memory stays that of a single sweep.
-    upper = [average_precision(pr_curve(samples, t, width, height))
-             for t in MAP_THRESHOLDS[1:]]
-    curve50 = pr_curve(samples, MAP_THRESHOLDS[0], width, height)
-    aps = (average_precision(curve50), *upper)
-    return aps[0], sum(aps) / len(aps), aps, curve50
+    points = np.array(curve.points, dtype=np.float64).reshape(-1, 2)
+    return _interpolated_ap(points[:, 0], points[:, 1])
 
 
 def map_range(samples, width: int = NATIVE_WIDTH,
               height: int = NATIVE_HEIGHT):
     """AP at each IoU threshold plus the 0.50 and 0.50:0.95 summaries.
 
-    Returns (map50, map50_95, ap_per_iou); see _ladder for the errors.
+    Returns (map50, map50_95, ap_per_iou) as evaluate scores them; it
+    raises ConfigError on no samples or on neither gts nor predictions.
     """
-    return _ladder(samples, width, height)[:3]
+    report = evaluate(samples, DEFAULT_TAU, width, height)
+    return report.map50, report.map50_95, report.ap_per_iou
 
 
 @dataclass(frozen=True)
@@ -280,24 +285,16 @@ def evaluate(samples, operating_tau: float = DEFAULT_TAU,
     samples = list(samples)
     if not samples:
         raise ConfigError("manifest holds no records to evaluate")
-    tp = fp = fn = 0
-    kept = 0
-    for preds, gts in samples:
-        admitted = [d for d in preds if d.confidence >= operating_tau]
-        result = match_detections(admitted, gts, 0.5, width, height)
-        tp += result.tp
-        fp += result.fp
-        fn += result.fn
-        kept += len(admitted)
+    # a mean over nothing is meaningless
+    if not any(preds or gts for preds, gts in samples):
+        raise ConfigError("no ground truths and no predictions to score")
+    curve, aps, conf, cum_tp = _sweep(samples, MAP_THRESHOLDS, width, height)
+    # conf >= tau admits a prefix of the ranking, whose TPs cum_tp counts
+    kept = int(np.count_nonzero(conf >= operating_tau))
+    tp = int(cum_tp[kept - 1]) if kept else 0
+    fp, fn = kept - tp, curve.total_gts - tp
     precision, recall = precision_recall(tp, fp, fn)
-    map50, map50_95, aps, curve = _ladder(samples, width, height)
-    counts = {
-        "images": len(samples),
-        "gts": sum(len(g) for _, g in samples),
-        "preds": kept,
-        "tp": tp,
-        "fp": fp,
-        "fn": fn,
-    }
-    return EvalReport(precision, recall, map50, map50_95, aps,
+    counts = {"images": len(samples), "gts": curve.total_gts, "preds": kept,
+              "tp": tp, "fp": fp, "fn": fn}
+    return EvalReport(precision, recall, aps[0], sum(aps) / len(aps), aps,
                       counts, operating_tau, curve)

@@ -16,7 +16,7 @@ from .annot import Detection
 from .errors import AlignmentError, ConfigError, SequenceError
 from .manifest import ManifestRecord
 from .metrics import DEFAULT_TAU, check_tau, precision_recall
-from .util import write_text
+from .util import write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ def write_timeline_csv(path: str, actual: OccupancyTimeline,
     """One row per frame: timestamp, actual flag, detected flag (0/1)."""
     if actual.timestamps() != detected.timestamps():
         raise AlignmentError("timelines cover different timestamps")
-    write_text(path, "ts,actual,detected\n" + "".join(
+    write_text_atomic(path, "ts,actual,detected\n" + "".join(
         f"{ts},{int(truth)},{int(seen)}\n"
         for (ts, truth), (_, seen) in zip(actual.entries, detected.entries)))
 
 
 def write_schedule_csv(path: str, schedule: HvacSchedule) -> None:
-    write_text(path, "ts,hvac_on\n" + "".join(
+    write_text_atomic(path, "ts,hvac_on\n" + "".join(
         f"{ts},{int(flag)}\n" for ts, flag in schedule.entries))

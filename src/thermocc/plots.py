@@ -11,7 +11,7 @@ import os
 
 from .metrics import PRCurve
 from .occupancy import HvacSchedule, OccupancyTimeline
-from .util import make_dirs, write_text
+from .util import make_dirs, write_text_atomic
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 62, 18, 22, 46
@@ -136,6 +136,6 @@ def emit_plots(out_dir: str, curve: PRCurve, ap50: float,
     make_dirs(out_dir)
     pr_path = os.path.join(out_dir, "pr_curve.svg")
     tl_path = os.path.join(out_dir, "occupancy_timeline.svg")
-    write_text(pr_path, pr_curve_svg(curve, ap50))
-    write_text(tl_path, timeline_svg(actual, detected, schedule))
+    write_text_atomic(pr_path, pr_curve_svg(curve, ap50))
+    write_text_atomic(tl_path, timeline_svg(actual, detected, schedule))
     return pr_path, tl_path

@@ -304,7 +304,7 @@ def render_frame(spec: DatasetSpec,
 
 
 def manifest_records(plans: list[FramePlan]) -> list[ManifestRecord]:
-    """The records of the manifest generate_dataset writes for plans;
+    """The records of the manifest write_dataset writes for plans;
     their paths, relative to the dataset directory, name every file."""
     return [ManifestRecord(frame=f"frames/frame_{p.index:06d}.pgm",
                            labels=f"labels/frame_{p.index:06d}.txt",
@@ -321,22 +321,27 @@ def _write_frames(spec: DatasetSpec, plans: list[FramePlan],
 
 
 def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
-    """Write frames/, labels/ and manifest.jsonl; returns the manifest path.
+    """Plan spec and write it as write_dataset does."""
+    return write_dataset(spec, plan_dataset(spec), out_dir, workers)
 
-    Every frame gets a label file; unoccupied frames get a blank one.
-    Each frame draws from its own (seed, index) stream, so the bytes do
-    not depend on workers: with workers > 1 a pool of that many forked
-    processes writes every workers-th frame each. fork skips the package
-    import that spawn would repeat per worker, but copies only the
-    calling thread. The executor forks all its workers before it starts
-    its manager thread, and thermocc starts no threads of its own, so
-    only a caller's threads could hold a lock the workers need. Without
-    fork, frames are written here. A worker that dies, say by a signal,
-    fails the run with DataIOError.
+
+def write_dataset(spec: DatasetSpec, plans: list[FramePlan], out_dir: str,
+                  workers: int = 1) -> str:
+    """Write the plans' frames/, labels/ and manifest.jsonl; returns its path.
+
+    plans come from plan_dataset(spec). Every frame gets a label file;
+    unoccupied frames get a blank one. Each frame draws from its own (seed,
+    index) stream, so the bytes do not depend on workers: with workers > 1 a
+    pool of that many forked processes writes every workers-th frame each.
+    fork skips the package import that spawn would repeat per worker, but
+    copies only the calling thread. The executor forks all its workers
+    before it starts its manager thread, and thermocc starts no threads of
+    its own, so only a caller's threads could hold a lock the workers need.
+    Without fork, frames are written here. A worker that dies, say by a
+    signal, fails the run with DataIOError.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    plans = plan_dataset(spec)
     make_dirs(os.path.join(out_dir, "frames"))
     make_dirs(os.path.join(out_dir, "labels"))
     shares = [plans[k::workers] for k in range(min(workers, len(plans)))]

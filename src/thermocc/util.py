@@ -1,5 +1,6 @@
 """Small numeric and file helpers shared by several modules."""
 
+import contextlib
 import math
 import os
 
@@ -48,3 +49,17 @@ def write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """write_text to a temporary beside path, renamed over it: a run cut
+    short leaves the old file or the new, and a failed call no temporary."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write_text(tmp, text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)

@@ -2,8 +2,9 @@
 
 They live with the tests, not the package, and share no helper with
 the code they check. The matcher recomputes box scaling, overlap and
-the greedy assignment with plain Python floats; the labeller finds
-connected components by flood fill, pixel by pixel.
+the greedy assignment with plain Python floats; the PR sweep re-matches
+an image through it after every rank; the labeller finds connected
+components by flood fill, pixel by pixel.
 """
 
 from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
@@ -12,6 +13,16 @@ from thermocc.metrics import MatchResult
 
 class OracleScaleError(ValueError):
     """The brute-force matcher was handed more boxes than it accepts."""
+
+
+def corners(box: NormalizedBox, width: int,
+            height: int) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1) of box on a width x height grid, clamped to it."""
+    x0 = min(max((box.cx - box.w / 2.0) * width, 0.0), float(width))
+    x1 = min(max((box.cx + box.w / 2.0) * width, 0.0), float(width))
+    y0 = min(max((box.cy - box.h / 2.0) * height, 0.0), float(height))
+    y1 = min(max((box.cy + box.h / 2.0) * height, 0.0), float(height))
+    return x0, y0, x1, y1
 
 
 def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
@@ -29,13 +40,6 @@ def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
     if len(gts) > 5:
         raise OracleScaleError(f"at most 5 ground truths, got {len(gts)}")
 
-    def corners(box: NormalizedBox) -> tuple[float, float, float, float]:
-        x0 = min(max((box.cx - box.w / 2.0) * width, 0.0), float(width))
-        x1 = min(max((box.cx + box.w / 2.0) * width, 0.0), float(width))
-        y0 = min(max((box.cy - box.h / 2.0) * height, 0.0), float(height))
-        y1 = min(max((box.cy + box.h / 2.0) * height, 0.0), float(height))
-        return x0, y0, x1, y1
-
     def overlap(a, b) -> float:
         iw = min(a[2], b[2]) - max(a[0], b[0])
         ih = min(a[3], b[3]) - max(a[1], b[1])
@@ -46,8 +50,8 @@ def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
         area_b = (b[2] - b[0]) * (b[3] - b[1])
         return inter / (area_a + area_b - inter)
 
-    pcs = [corners(d.box) for d in preds]
-    gcs = [corners(g.box) for g in gts]
+    pcs = [corners(d.box, width, height) for d in preds]
+    gcs = [corners(g.box, width, height) for g in gts]
     order = sorted(range(len(preds)),
                    key=lambda i: (-preds[i].confidence, pcs[i][1], pcs[i][0]))
     taken = [False] * len(gts)
@@ -71,6 +75,49 @@ def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
             assignments.append((i, None))
     return MatchResult(tuple(assignments), tp, len(preds) - tp,
                        len(gts) - tp)
+
+
+def naive_curve(samples, thresh: float, width: int = 128,
+                height: int = 96):
+    """Per-rank recomputation of the PR sweep; returns (points, total_gts).
+
+    Predictions are admitted one global rank at a time, ranked by
+    descending confidence, then image, then pixel y0, x0 and index; the
+    image whose prediction set changed is re-matched from scratch
+    through oracle_match (the other images' inputs are unchanged, so
+    their previous counts are definitionally still correct).
+    """
+    order = []
+    for img, (preds, _) in enumerate(samples):
+        for j, det in enumerate(preds):
+            x0, y0, _, _ = corners(det.box, width, height)
+            order.append((-det.confidence, img, y0, x0, j))
+    order.sort()
+    total_gts = sum(len(g) for _, g in samples)
+    points = []
+    chosen = [set() for _ in samples]
+    tps = [0] * len(samples)
+    for k, (_, img, _, _, j) in enumerate(order, start=1):
+        chosen[img].add(j)
+        prefix = [d for i, d in enumerate(samples[img][0])
+                  if i in chosen[img]]
+        tps[img] = oracle_match(prefix, samples[img][1], thresh, width,
+                                height).tp
+        tp = sum(tps)
+        recall = tp / total_gts if total_gts else 1.0
+        points.append((recall, tp / k))
+    return points, total_gts
+
+
+def naive_ap(points) -> float:
+    """Direct 101-term interpolated AP sum over (recall, precision)."""
+    if not points:
+        return 0.0
+    total = 0.0
+    for i in range(101):
+        r = i / 100
+        total += max((prec for rec, prec in points if rec >= r), default=0.0)
+    return total / 101
 
 
 def flood_fill_components(mask) -> list[tuple[tuple[int, int, int, int],

@@ -30,7 +30,7 @@ from thermocc.split import DEFAULT_FRACTIONS, stratified_split, verify_ratio
 from thermocc.synth import (FRONTAL_SCENARIOS, MIXED_SCENARIOS, DatasetSpec,
                             generate_dataset)
 
-from oracle import oracle_match
+from oracle import naive_ap, naive_curve, oracle_match
 
 REFERENCE_OCCUPIED = 3818
 REFERENCE_EMPTY = 1018
@@ -118,55 +118,6 @@ def test_criterion_2_consistency_fixture(tmp_path):
 # tests read the outcome (including a cached failure).
 _BATTERY = {}
 
-GRID_W, GRID_H = 128, 96
-
-
-def _oracle_corners(box):
-    x0 = min(max((box.cx - box.w / 2) * GRID_W, 0.0), float(GRID_W))
-    y0 = min(max((box.cy - box.h / 2) * GRID_H, 0.0), float(GRID_H))
-    return y0, x0
-
-
-def _naive_curve(samples, thresh):
-    """Per-rank recomputation of the PR sweep.
-
-    Predictions are admitted one global rank at a time; the image whose
-    prediction set changed is re-matched from scratch through
-    oracle_match (the other images' inputs are unchanged, so their
-    previous counts are definitionally still correct).
-    """
-    order = []
-    for img, (preds, _) in enumerate(samples):
-        for j, det in enumerate(preds):
-            y0, x0 = _oracle_corners(det.box)
-            order.append((-det.confidence, img, y0, x0, j))
-    order.sort()
-    total_gts = sum(len(g) for _, g in samples)
-    points = []
-    chosen = [set() for _ in samples]
-    tps = [0] * len(samples)
-    for k, (_, img, _, _, j) in enumerate(order, start=1):
-        chosen[img].add(j)
-        prefix = [d for i, d in enumerate(samples[img][0])
-                  if i in chosen[img]]
-        tps[img] = oracle_match(prefix, samples[img][1], thresh).tp
-        tp = sum(tps)
-        recall = tp / total_gts if total_gts else 1.0
-        points.append((recall, tp / k))
-    return points, total_gts
-
-
-def _naive_ap(points):
-    """Direct 101-term interpolated AP sum."""
-    if not points:
-        return 0.0
-    total = 0.0
-    for i in range(101):
-        r = i / 100
-        total += max((prec for rec, prec in points if rec >= r), default=0.0)
-    return total / 101
-
-
 def _run_battery():
     rng = np.random.default_rng(20260816)
 
@@ -201,20 +152,20 @@ def _run_battery():
             assert got == want, f"matcher diverged on instance {inst}"
 
         got_curve = pr_curve(samples, 0.5)
-        want_points, want_total = _naive_curve(samples, 0.5)
+        want_points, want_total = naive_curve(samples, 0.5)
         assert got_curve.total_gts == want_total
         assert len(got_curve.points) == len(want_points)
         for (gr, gp), (wr, wp) in zip(got_curve.points, want_points):
             assert abs(gr - wr) <= 1e-9, f"recall diverged on {inst}"
             assert abs(gp - wp) <= 1e-9, f"precision diverged on {inst}"
         assert abs(average_precision(got_curve)
-                   - _naive_ap(want_points)) <= 1e-9
+                   - naive_ap(want_points)) <= 1e-9
 
         n_gts = sum(len(g) for _, g in samples)
         n_preds = sum(len(p) for p, _ in samples)
         if n_gts or n_preds:
             map50, map50_95, aps = map_range(samples)
-            want_aps = [_naive_ap(_naive_curve(samples, t)[0])
+            want_aps = [naive_ap(naive_curve(samples, t)[0])
                         for t in MAP_THRESHOLDS]
             for a, b in zip(aps, want_aps):
                 assert abs(a - b) <= 1e-9, f"AP ladder diverged on {inst}"

@@ -12,7 +12,7 @@ from thermocc.metrics import (MAP_THRESHOLDS, average_precision, evaluate,
                               iou, load_samples, map_range, match_detections,
                               pr_curve, precision_recall)
 
-from oracle import oracle_match
+from oracle import naive_ap, naive_curve, oracle_match
 
 GRID = 20  # small square grid keeps corner arithmetic exact
 
@@ -208,6 +208,68 @@ def test_pr_curve_matches_per_rank_recomputation():
             got_recall, got_precision = curve.points[rank - 1]
             assert got_recall == pytest.approx(want_recall, abs=1e-12)
             assert got_precision == pytest.approx(want_precision, abs=1e-12)
+
+
+def tie_box(rng):
+    """A box from a few pixel corners on the 20x20 grid, so that equal
+    y0/x0 pairs, duplicates and IoUs exactly on a threshold are common."""
+    x0, y0 = rng.choice((2, 4, 6)), rng.choice((2, 4, 6))
+    return nb(x0, y0, x0 + rng.choice((4, 6, 8)), y0 + rng.choice((4, 6, 8)))
+
+
+def tie_samples(rng):
+    """1-4 images whose confidences come from three values and that hold
+    duplicated predictions and ground truths."""
+    samples = []
+    for _ in range(rng.randint(1, 4)):
+        gts = [GroundTruthBox(0, tie_box(rng))
+               for _ in range(rng.randint(0, 4))]
+        preds = [Detection(0, tie_box(rng), rng.choice((0.5, 0.9, 1.0)))
+                 for _ in range(rng.randint(0, 6))]
+        if preds and rng.random() < 0.5:
+            preds.insert(rng.randint(0, len(preds)), rng.choice(preds))
+        if gts and rng.random() < 0.3:
+            gts.append(rng.choice(gts))
+        samples.append((preds, gts))
+    return samples
+
+
+@pytest.mark.parametrize("width,height", [(128, 96), (20, 20)])
+def test_metrics_agree_with_oracle_under_ties(width, height):
+    """Exact confidence ties within and across images, so the ranking
+    rule decides every curve, AP and operating-point count."""
+    rng = random.Random(19)
+    for _ in range(60):
+        samples = tie_samples(rng)
+        want = {t: naive_curve(samples, t, width, height)
+                for t in MAP_THRESHOLDS}
+        curve = pr_curve(samples, 0.5, width, height)
+        assert curve.points == tuple(want[0.5][0])
+        assert curve.total_gts == want[0.5][1]
+        assert average_precision(curve) == pytest.approx(
+            naive_ap(want[0.5][0]), abs=1e-9)
+        if not any(preds or gts for preds, gts in samples):
+            continue
+        want_aps = [naive_ap(want[t][0]) for t in MAP_THRESHOLDS]
+        map50, map50_95, aps = map_range(samples, width, height)
+        assert aps == pytest.approx(want_aps, abs=1e-9)
+        assert map50 == pytest.approx(want_aps[0], abs=1e-9)
+        assert map50_95 == pytest.approx(sum(want_aps) / 10, abs=1e-9)
+        for tau in (0.0, 0.5, 0.9, 1.0):
+            report = evaluate(samples, tau, width, height)
+            tp = fp = fn = kept = 0
+            for preds, gts in samples:
+                admitted = [d for d in preds if d.confidence >= tau]
+                ref = oracle_match(admitted, gts, 0.5, width, height)
+                tp, fp, fn = tp + ref.tp, fp + ref.fp, fn + ref.fn
+                kept += len(admitted)
+            assert report.counts == {
+                "images": len(samples), "gts": want[0.5][1], "preds": kept,
+                "tp": tp, "fp": fp, "fn": fn}
+            assert (report.precision, report.recall) == precision_recall(
+                tp, fp, fn)
+            assert report.ap_per_iou == aps
+            assert report.curve == curve
 
 
 def test_map_range_perfect_predictions():

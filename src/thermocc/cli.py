@@ -11,13 +11,15 @@ The THERMOCC_SEED environment variable, when set, overrides any
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import traceback
 
-from .annot import serialize_predictions
-from .detect import DEFAULT_CONFIG, DetectorConfig, detect_manifest
+from .annot import parse_labels, parse_predictions, serialize_predictions
+from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
+                     detect_manifest)
 from .errors import ConfigError, ThermoccError
 from .manifest import (ManifestRecord, prediction_filenames, read_manifest,
                        resolve, write_manifest)
@@ -30,8 +32,9 @@ from .split import (DEFAULT_FRACTIONS, SplitFractions, stratified_split,
                     verify_ratio)
 from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                     MIXED_SCENARIOS, DatasetSpec, generate_dataset,
-                    manifest_records, plan_dataset, write_dataset)
-from .util import make_dirs, write_text, write_text_atomic
+                    manifest_records, occupied_count, plan_dataset,
+                    write_planned_frame)
+from .util import fork_map, make_dirs, write_text, write_text_atomic
 
 
 class _UsageError(Exception):
@@ -79,13 +82,10 @@ def _dataset_spec(args, **extra) -> DatasetSpec:
 
 
 def _write_split(records, assignment, manifest_path: str, out_dir: str):
-    """Split stage: subset manifests rebased onto out_dir, ratio report.
-
-    Returns ({subset name: (manifest path, records written)}, report).
-    """
+    """Split stage: subset manifests rebased onto out_dir; writes and
+    returns the ratio report."""
     make_dirs(out_dir)
     out_abs = os.path.abspath(out_dir)
-    subsets = {}
     for name, indices in assignment.subsets().items():
         subset = []
         for i in indices:
@@ -96,21 +96,24 @@ def _write_split(records, assignment, manifest_path: str, out_dir: str):
             subset.append(ManifestRecord(
                 frame=os.path.relpath(resolve(manifest_path, rec.frame), out_abs),
                 labels=labels, occupied=rec.occupied, ts=rec.ts))
-        subsets[name] = (os.path.join(out_dir, f"{name}.jsonl"), subset)
-        write_manifest(*subsets[name])
+        write_manifest(os.path.join(out_dir, f"{name}.jsonl"), subset)
     report = verify_ratio(assignment, records)
     write_text_atomic(os.path.join(out_dir, "ratio_report.json"),
                       json.dumps(report.to_dict(), indent=2) + "\n")
-    return subsets, report
+    return report
 
 
-def _write_predictions(records, manifest_path: str, out_dir: str,
-                       config: DetectorConfig) -> None:
-    names = prediction_filenames(records)
-    detections = detect_manifest(records, manifest_path, config)
-    make_dirs(out_dir)
-    for name, dets in zip(names, detections):
-        write_text(os.path.join(out_dir, name), serialize_predictions(dets))
+def _pipeline_frame(spec, dataset_dir: str, preds_dir: str, test, plan):
+    """Write a planned frame, and a test frame's predictions; returns a test
+    frame's (predictions, gts) as `eval` reads them back, else None. The
+    codec is lossless: detecting on the frame equals detecting on its file."""
+    frame, labels = write_planned_frame(spec, plan, dataset_dir)
+    if plan.index not in test:
+        return None
+    text = serialize_predictions(detect_blobs(frame, DEFAULT_CONFIG))
+    name, = prediction_filenames(manifest_records([plan]))
+    write_text(os.path.join(preds_dir, name), text)
+    return parse_predictions(text), parse_labels(labels)
 
 
 def _report_missing_predictions(missing: int, total: int,
@@ -142,18 +145,17 @@ def _occupancy(records, predictions, tau: float, policy: ControlPolicy,
 def cmd_synth(args) -> int:
     spec = _dataset_spec(args, background_temp=args.background,
                          start_ts=args.start_ts, period=args.period)
-    manifest_path = generate_dataset(spec, args.out)
-    records = read_manifest(manifest_path)
-    occupied = sum(r.occupied for r in records)
-    print(f"wrote {len(records)} frames ({occupied} occupied, "
-          f"{len(records) - occupied} empty) under {args.out}")
+    generate_dataset(spec, args.out)
+    occupied = occupied_count(spec.frames, spec.occupied_fraction)
+    print(f"wrote {spec.frames} frames ({occupied} occupied, "
+          f"{spec.frames - occupied} empty) under {args.out}")
     return 0
 
 
 def cmd_split(args) -> int:
     records = read_manifest(args.manifest)
     assignment = stratified_split(records, args.fractions, args.seed)
-    _, report = _write_split(records, assignment, args.manifest, args.out)
+    report = _write_split(records, assignment, args.manifest, args.out)
     for name, stats in report.subsets.items():
         ratio = "inf" if stats.ratio == float("inf") else f"{stats.ratio:.3f}"
         print(f"{name}: {stats.total} frames ({stats.occupied} occupied / "
@@ -166,7 +168,11 @@ def cmd_detect(args) -> int:
     records = read_manifest(args.manifest)
     config = DetectorConfig(warm_threshold=args.warm_threshold,
                             nms_iou=args.nms_iou)
-    _write_predictions(records, args.manifest, args.out, config)
+    names = prediction_filenames(records)
+    detections = detect_manifest(records, args.manifest, config)
+    make_dirs(args.out)
+    for name, dets in zip(names, detections):
+        write_text(os.path.join(args.out, name), serialize_predictions(dets))
     print(f"wrote predictions for {len(records)} frames under {args.out}")
     return 0
 
@@ -215,25 +221,24 @@ def cmd_pipeline(args) -> int:
     if not assignment.test:
         raise ConfigError("the split leaves the test subset empty")
     dataset_dir = os.path.join(args.out, "dataset")
-    splits_dir = os.path.join(args.out, "splits")
     preds_dir = os.path.join(args.out, "preds")
-    occ_dir = os.path.join(args.out, "occupancy")
     plots_dir = os.path.join(args.out, "plots")
 
-    manifest_path = write_dataset(spec, plans, dataset_dir, args.threads)
-    del plans
+    for path in (records[0].frame, records[0].labels):  # named by synth
+        make_dirs(os.path.join(dataset_dir, os.path.dirname(path)))
+    make_dirs(preds_dir)
+    results = fork_map(functools.partial(
+        _pipeline_frame, spec, dataset_dir, preds_dir,
+        frozenset(assignment.test)), plans, args.threads)
+    samples = [results[i] for i in assignment.test]
+    manifest_path = os.path.join(dataset_dir, "manifest.jsonl")
+    write_manifest(manifest_path, records)
     print(f"dataset: {len(records)} frames under {dataset_dir}")
 
-    subsets, _ = _write_split(records, assignment, manifest_path, splits_dir)
-    test_manifest, test_records = subsets["test"]
-    del subsets  # frees the train and val records, which no later stage uses
+    _write_split(records, assignment, manifest_path,
+                 os.path.join(args.out, "splits"))
+    print(f"detector: {len(samples)} test frames scored")
 
-    _write_predictions(test_records, test_manifest, preds_dir, DEFAULT_CONFIG)
-    print(f"detector: {len(test_records)} test frames scored")
-
-    # Later stages score the predictions as written, rounded to six
-    # decimals, so they agree with `eval` and `occupancy` run on preds/.
-    samples, _ = load_samples(test_records, preds_dir, test_manifest)
     eval_report = evaluate(samples, operating_tau=args.tau)
     write_text_atomic(os.path.join(args.out, "report.json"),
                       eval_report.to_json())
@@ -243,8 +248,9 @@ def cmd_pipeline(args) -> int:
           f"mAP50-95 {eval_report.map50_95:.3f}")
 
     actual, detected, confusion, schedule = _occupancy(
-        test_records, [preds for preds, _ in samples], args.tau, policy,
-        occ_dir)
+        [records[i] for i in assignment.test],
+        [preds for preds, _ in samples], args.tau, policy,
+        os.path.join(args.out, "occupancy"))
     print(f"occupancy: recall {confusion.recall:.3f}, "
           f"missed occupied {confusion.missed_occupied}, "
           f"hvac on fraction {schedule.on_fraction:.3f}")

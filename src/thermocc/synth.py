@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annot import GroundTruthBox, NormalizedBox, serialize_labels
-from .errors import ConfigError, DataIOError, SceneSpecError
+from .errors import SceneSpecError
 from .frame import ThermalFrame, raw_from_celsius, write_frame
 from .manifest import ManifestRecord, write_manifest
 from .util import make_dirs, round_half_away, write_text
@@ -304,64 +304,34 @@ def render_frame(spec: DatasetSpec,
 
 
 def manifest_records(plans: list[FramePlan]) -> list[ManifestRecord]:
-    """The records of the manifest write_dataset writes for plans;
+    """The records of the manifest generate_dataset writes for plans;
     their paths, relative to the dataset directory, name every file."""
     return [ManifestRecord(frame=f"frames/frame_{p.index:06d}.pgm",
                            labels=f"labels/frame_{p.index:06d}.txt",
                            occupied=p.occupied, ts=p.ts) for p in plans]
 
 
-def _write_frames(spec: DatasetSpec, plans: list[FramePlan],
-                  out_dir: str) -> None:
-    """Render the planned frames into out_dir's frames/ and labels/."""
-    for plan, rec in zip(plans, manifest_records(plans)):
-        frame, gts = render_frame(spec, plan)
-        write_frame(os.path.join(out_dir, rec.frame), frame)
-        write_text(os.path.join(out_dir, rec.labels), serialize_labels(gts))
+def write_planned_frame(spec: DatasetSpec, plan: FramePlan,
+                        out_dir: str) -> tuple[ThermalFrame, str]:
+    """Render plan into out_dir's frames/ and labels/, which must exist;
+    returns the frame and its label text, blank for an empty frame."""
+    rec, = manifest_records([plan])
+    frame, gts = render_frame(spec, plan)
+    labels = serialize_labels(gts)
+    write_frame(os.path.join(out_dir, rec.frame), frame)
+    write_text(os.path.join(out_dir, rec.labels), labels)
+    return frame, labels
 
 
-def generate_dataset(spec: DatasetSpec, out_dir: str, workers: int = 1) -> str:
-    """Plan spec and write it as write_dataset does."""
-    return write_dataset(spec, plan_dataset(spec), out_dir, workers)
-
-
-def write_dataset(spec: DatasetSpec, plans: list[FramePlan], out_dir: str,
-                  workers: int = 1) -> str:
-    """Write the plans' frames/, labels/ and manifest.jsonl; returns its path.
-
-    plans come from plan_dataset(spec). Every frame gets a label file;
-    unoccupied frames get a blank one. Each frame draws from its own (seed,
-    index) stream, so the bytes do not depend on workers: with workers > 1 a
-    pool of that many forked processes writes every workers-th frame each.
-    fork skips the package import that spawn would repeat per worker, but
-    copies only the calling thread. The executor forks all its workers
-    before it starts its manager thread, and thermocc starts no threads of
-    its own, so only a caller's threads could hold a lock the workers need.
-    Without fork, frames are written here. A worker that dies, say by a
-    signal, fails the run with DataIOError.
-    """
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+def generate_dataset(spec: DatasetSpec, out_dir: str) -> str:
+    """Write spec's frames/, labels/ and manifest.jsonl; returns its path.
+    Each frame draws from its own (seed, index) stream, so frames can be
+    written in any order and process (see write_planned_frame)."""
+    plans = plan_dataset(spec)
     make_dirs(os.path.join(out_dir, "frames"))
     make_dirs(os.path.join(out_dir, "labels"))
-    shares = [plans[k::workers] for k in range(min(workers, len(plans)))]
-    if len(shares) > 1:
-        # here, so importing the package stays light
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-    if len(shares) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        try:
-            with ProcessPoolExecutor(
-                    len(shares),
-                    mp_context=multiprocessing.get_context("fork")) as pool:
-                list(pool.map(functools.partial(_write_frames, spec,
-                                                out_dir=out_dir), shares))
-        except BrokenProcessPool:
-            raise DataIOError(f"a synth worker died before writing its "
-                              f"frames under {out_dir}") from None
-    else:
-        _write_frames(spec, plans, out_dir)
+    for plan in plans:
+        write_planned_frame(spec, plan, out_dir)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
     write_manifest(manifest_path, manifest_records(plans))
     return manifest_path

@@ -63,3 +63,26 @@ def write_text_atomic(path: str, text: str) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+
+
+def fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], in order; with workers > 1, each of that
+    many forked processes maps one contiguous share (fn, items and results
+    must pickle). fork skips the package import spawn repeats per worker,
+    but copies only the calling thread; the executor forks all its workers
+    before it starts its manager thread and thermocc starts no threads, so
+    only a caller's threads could hold a lock the workers need. Without
+    fork, items are mapped here. A worker that dies raises DataIOError."""
+    workers = min(workers, len(items))
+    import multiprocessing  # here, so importing the package stays light
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, items,
+                                 chunksize=math.ceil(len(items) / workers)))
+    except BrokenProcessPool:
+        raise DataIOError("a worker process died before it finished") from None

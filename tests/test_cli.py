@@ -206,7 +206,7 @@ def test_killed_synth_worker_fails_the_run(tmp_path):
             "from thermocc.cli import main\n"
             "def die(*args, **kwargs):\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            "thermocc.synth._write_frames = die\n"
+            "thermocc.synth.render_frame = die\n"
             "sys.exit(main(sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, "pipeline", "--frames", "40",
@@ -215,6 +215,18 @@ def test_killed_synth_worker_fails_the_run(tmp_path):
         text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "worker" in proc.stderr
+
+
+def test_worker_write_error_reaches_caller(tmp_path, capsys):
+    """A frame that cannot be written fails the run with exit 1 and names
+    the file, whichever process wrote it."""
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        (out / "dataset" / "frames" / "frame_000001.pgm").mkdir(parents=True)
+        assert main(["pipeline", "--frames", "40", "--threads", threads,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frame_000001.pgm" in err
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

@@ -43,8 +43,7 @@ def _actual(root: str) -> dict:
     return digests
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_pipeline_artifacts_match_golden_digests(tmp_path, threads):
+def _check_golden_run(tmp_path, threads):
     out = str(tmp_path / "run")
     assert main(["pipeline", "--out", out, "--frames", "300", "--seed", "4",
                  "--threads", threads]) == 0
@@ -54,3 +53,24 @@ def test_pipeline_artifacts_match_golden_digests(tmp_path, threads):
     changed = sorted(path for path in expected
                      if actual[path] != expected[path])
     assert not changed, f"{len(changed)} artifacts changed: {changed[:5]}"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pipeline_artifacts_match_golden_digests(tmp_path, threads):
+    _check_golden_run(tmp_path, threads)
+
+
+def _no_read(*args, **kwargs):
+    raise AssertionError("pipeline read back a file")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pipeline_reads_nothing_back(tmp_path, monkeypatch, threads):
+    """pipeline passes values between its stages: with every reader of
+    the files it writes disabled, also in forked workers, which inherit
+    the patches, it still writes the golden bytes."""
+    for site in ("thermocc.cli.load_samples", "thermocc.cli.detect_manifest",
+                 "thermocc.cli.read_manifest", "thermocc.detect.read_frame",
+                 "thermocc.metrics.read_text"):
+        monkeypatch.setattr(site, _no_read)
+    _check_golden_run(tmp_path, threads)

@@ -6,7 +6,7 @@ import pytest
 
 from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
 from thermocc import synth
-from thermocc.errors import ConfigError, FrameIOError, SceneSpecError
+from thermocc.errors import SceneSpecError
 from thermocc.frame import encode_frame, raw_from_celsius
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
@@ -240,7 +240,6 @@ def test_generate_dataset_layout(tmp_path):
 
 
 def test_generate_dataset_reproducible(tmp_path):
-    # 31 frames split unevenly over 2 and 3 workers
     spec = DatasetSpec(frames=31, seed=4)
 
     def tree_bytes(root):
@@ -253,11 +252,11 @@ def test_generate_dataset_reproducible(tmp_path):
         return out
 
     trees = []
-    for run, workers in enumerate((1, 1, 2, 3)):
-        manifest = generate_dataset(spec, str(tmp_path / f"run{run}"), workers)
+    for run in range(2):
+        manifest = generate_dataset(spec, str(tmp_path / f"run{run}"))
         trees.append(tree_bytes(os.path.dirname(manifest)))
     assert len(trees[0]) == 2 * 31 + 1
-    assert all(tree == trees[0] for tree in trees[1:])
+    assert trees[1] == trees[0]
 
 
 def test_scenario_presets():
@@ -302,41 +301,6 @@ def test_occlusion_cut_matches_pixel_area():
                                   seed=0)
         visible = int((frame.temps_celsius() > 23.0).sum())
         assert visible / n_full == pytest.approx(1 - q, abs=0.02)
-
-
-def test_generate_dataset_rejects_bad_workers(tmp_path):
-    with pytest.raises(ConfigError):
-        generate_dataset(DatasetSpec(frames=3), str(tmp_path / "d"), 0)
-
-
-def test_worker_write_error_reaches_caller(tmp_path):
-    """A frame that cannot be written fails the run with FrameIOError,
-    whichever process wrote it."""
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        (out / "frames" / "frame_000001.pgm").mkdir(parents=True)
-        with pytest.raises(FrameIOError, match="frame_000001"):
-            generate_dataset(DatasetSpec(frames=4, seed=1), str(out), workers)
-
-
-def test_workers_fork_before_any_thread_starts(tmp_path, monkeypatch):
-    """fork copies only the calling thread, so the pool must fork every
-    worker before it starts a thread of its own."""
-    import multiprocessing.context
-    import threading
-
-    baseline = threading.active_count()
-    seen = []
-    start = multiprocessing.context.ForkProcess.start
-
-    def counting_start(process):
-        seen.append(threading.active_count())
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                        counting_start)
-    generate_dataset(DatasetSpec(frames=6, seed=1), str(tmp_path / "d"), 3)
-    assert seen == [baseline] * 3
 
 
 def _full_frame_render(scene, rng, width, height):

@@ -121,23 +121,36 @@ def _warm_components(raw: np.ndarray, cut: int
     raster order of their first pixel, and visit_order keeps that order
     among exact ties.
     """
-    warm = raw >= cut
-    rows = np.flatnonzero(warm.any(axis=1))
-    if rows.size == 0:
-        return []
-    top, bottom = int(rows[0]), int(rows[-1]) + 1
     # A cold column on either side of each row keeps runs from crossing
-    # rows, so in the flattened crop warm runs and cold gaps alternate.
-    # A run's start and stop are flat positions in this padded crop.
+    # rows, so in the flattened frame warm runs and cold gaps alternate.
+    # Edge i lies between padded positions i and i + 1, so a run from
+    # column x0 to x1 (half open) of row y starts at y * stride + x0
+    # and stops at y * stride + x1.
     stride = raw.shape[1] + 2
-    padded = np.zeros((bottom - top, stride), dtype=bool)
-    padded[:, 1:-1] = warm[top:bottom]
+    padded = np.zeros((raw.shape[0], stride), dtype=bool)
+    warm = padded[:, 1:-1]
+    np.greater_equal(raw, cut, out=warm)
     flat = padded.ravel()
-    edges = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    if edges.size == 0:
+        return []
     starts, stops = edges[0::2], edges[1::2]
+    counts = raw[warm]  # raster order, which is run order
+
+    # Run j touches the runs of the row above that overlap its span
+    # moved up one stride: indices lo[j] to hi[j], as starts and stops
+    # both ascend. If every run after the first touches one, each joins
+    # an earlier run, so all of them join run 0: one component.
+    lo = np.searchsorted(stops, starts[1:] - stride, side="right")
+    hi = np.searchsorted(starts, stops[1:] - stride, side="left")
+    if (hi > lo).all():
+        columns = edges % stride
+        return [(int(starts[0]) // stride, int(stops[-1]) // stride + 1,
+                 int(columns[0::2].min()), int(columns[1::2].max()), counts)]
 
     # Union-find over runs. Each union keeps the lower index as the
     # root, so a component's root is its first run.
+    starts, stops = starts.tolist(), stops.tolist()
     parent = list(range(len(starts)))
 
     def root(i: int) -> int:
@@ -146,8 +159,7 @@ def _warm_components(raw: np.ndarray, cut: int
             i = parent[i]
         return i
 
-    # Run j touches the runs of the row above that overlap its span
-    # moved up one stride. Stops ascend, so i only moves forward.
+    # Stops ascend, so i only moves forward.
     i = 0
     for j, (start, stop) in enumerate(zip(starts, stops)):
         while stops[i] <= start - stride:
@@ -163,9 +175,8 @@ def _warm_components(raw: np.ndarray, cut: int
     members: dict[int, list[int]] = {}  # roots ascend in insertion order
     for j, r in enumerate(roots):
         members.setdefault(r, []).append(j)
-    # Warm counts in raster order, which is run order; a stable sort by
-    # root then lays each component's counts out in raster order.
-    counts = raw[top:bottom][warm[top:bottom]]
+    # A stable sort by root lays each component's counts out in raster
+    # order.
     if len(members) > 1:
         lengths = np.subtract(stops, starts)
         counts = counts[np.argsort(np.repeat(roots, lengths), kind="stable")]
@@ -173,10 +184,10 @@ def _warm_components(raw: np.ndarray, cut: int
     offset = 0
     for runs in members.values():
         size = sum(stops[j] - starts[j] for j in runs)
-        components.append((top + starts[runs[0]] // stride,
-                           top + starts[runs[-1]] // stride + 1,
-                           min(starts[j] % stride for j in runs) - 1,
-                           max(stops[j] % stride for j in runs) - 1,
+        components.append((starts[runs[0]] // stride,
+                           starts[runs[-1]] // stride + 1,
+                           min(starts[j] % stride for j in runs),
+                           max(stops[j] % stride for j in runs),
                            counts[offset:offset + size]))
         offset += size
     return components
@@ -198,9 +209,11 @@ def detect_blobs(frame: ThermalFrame,
     dets = []
     for y0, y1, x0, x1, counts in _warm_components(frame.temps, cut):
         # The mean sums the same float64 sequence as the Celsius frame
-        # masked to the component would, so it keeps its bits.
+        # masked to the component would, so it keeps its bits; it is
+        # the sum and division that ndarray.mean does.
+        temps = celsius_from_raw(counts)
         pixel_box = PixelBox(float(x0), float(y0), float(x1), float(y1))
-        conf = score_blob(float(celsius_from_raw(counts).mean()),
+        conf = score_blob(float(np.add.reduce(temps)) / temps.size,
                           pixel_box.area() / frame_area,
                           (y1 - y0) / (x1 - x0), config)
         if conf <= 0.0:

@@ -127,6 +127,8 @@ def _run_battery():
                              float(rng.uniform(0.05, 0.5)),
                              float(rng.uniform(0.05, 0.5)))
 
+    # the ladder's first rung reuses the IoU 0.50 oracle curve
+    assert MAP_THRESHOLDS[0] == 0.5
     start = time.perf_counter()
     map_pairs = []
     instances = 1000
@@ -165,8 +167,9 @@ def _run_battery():
         n_preds = sum(len(p) for p, _ in samples)
         if n_gts or n_preds:
             map50, map50_95, aps = map_range(samples)
-            want_aps = [naive_ap(naive_curve(samples, t)[0])
-                        for t in MAP_THRESHOLDS]
+            want_aps = [naive_ap(want_points)] + [
+                naive_ap(naive_curve(samples, t)[0])
+                for t in MAP_THRESHOLDS[1:]]
             for a, b in zip(aps, want_aps):
                 assert abs(a - b) <= 1e-9, f"AP ladder diverged on {inst}"
             assert abs(map50 - want_aps[0]) <= 1e-9

@@ -147,16 +147,19 @@ def test_component_boxes_match_bfs_oracle():
 
 @st.composite
 def warm_masks(draw):
-    """Random masks of every density, plus full masks, checkerboards and
-    single rows or columns."""
+    """Random masks of every density, plus full masks, checkerboards,
+    single rows or columns, and blobs."""
     h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
     kind = draw(st.sampled_from(["random", "full", "checker", "row",
-                                 "column"]))
+                                 "column", "blob"]))
     if kind == "full":
         return np.ones((h, w), dtype=bool)
     if kind == "checker":
         yy, xx = np.indices((h, w))
         return (yy + xx) % 2 == draw(st.integers(0, 1))
+    if kind == "blob":
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        return blob_mask(np.random.default_rng(seed), h, w)
     if kind == "row":
         h = 1
     elif kind == "column":
@@ -166,11 +169,35 @@ def warm_masks(draw):
     return np.random.default_rng(seed).random((h, w)) < density
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(warm_masks())
-def test_warm_components_match_flood_fill(mask):
-    """The run labeller finds the flood fill's components, in the same
-    order, with the same boxes and the same members in raster order."""
+def blob_mask(rng, h, w):
+    """One to three filled ellipses with a ragged rim, like a warm head
+    or body. Some are centred on the first or last row or column, so
+    they touch the frame's edge. A ragged rim can split a row into runs
+    that join lower down, the case the labeller's one-component check
+    cannot take."""
+    yy, xx = np.indices((h, w))
+    mask = np.zeros((h, w), dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        cy, cx = int(rng.integers(0, h)), int(rng.integers(0, w))
+        edge = rng.integers(0, 6)  # 4 and 5 leave the centre inside
+        if edge == 0:
+            cy = 0
+        elif edge == 1:
+            cy = h - 1
+        elif edge == 2:
+            cx = 0
+        elif edge == 3:
+            cx = w - 1
+        ry, rx = rng.uniform(0.5, h / 2 + 1), rng.uniform(0.5, w / 2 + 1)
+        dist = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2
+        mask |= dist <= 1.0 + rng.uniform(-0.5, 0.5, (h, w))
+    return mask
+
+
+def labeller_and_flood_fill(mask):
+    """The components the run labeller and the flood fill find, as
+    (box, member raster indices) in order. They must be equal: the
+    same components, order, boxes and members in raster order."""
     h, w = mask.shape
     # each warm pixel's count is 1 + its raster index, so the counts the
     # labeller returns name the member pixels
@@ -180,7 +207,56 @@ def test_warm_components_match_flood_fill(mask):
            _warm_components(raw.astype(np.uint16), 1)]
     want = [(box, [r * w + c for r, c in members])
             for box, members in flood_fill_components(mask.tolist())]
+    return got, want
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(warm_masks())
+def test_warm_components_match_flood_fill(mask):
+    got, want = labeller_and_flood_fill(mask)
     assert got == want
+
+
+@pytest.mark.parametrize("rows, components", [
+    # two runs on the top row join below: the one-component check fails
+    # at the second top run, and the union-find finds one blob
+    pytest.param(["#...#",
+                  "#...#",
+                  "#####"], 1, id="U"),
+    pytest.param(["#.#",
+                  "###"], 1, id="U-at-every-edge"),
+    # one top run over two runs: the check holds
+    pytest.param(["#####",
+                  "#...#",
+                  "#...#"], 1, id="cap"),
+    pytest.param(["#####",
+                  "#...#",
+                  "#####"], 1, id="ring"),
+    # a pixel that touches the blob's last row only at a corner
+    pytest.param(["###..",
+                  "###..",
+                  "...#."], 2, id="corner-right"),
+    pytest.param(["..###",
+                  "..###",
+                  ".#..."], 2, id="corner-left"),
+    # each run of the lower bar lies two rows under a run of the upper
+    # one, and a cold row parts them
+    pytest.param(["####",
+                  "....",
+                  "####"], 2, id="bars"),
+    # two runs that join one row down, and a run that joins nothing
+    pytest.param(["##.##..#",
+                  "#####..#"], 2, id="join-and-lone-run"),
+])
+def test_one_component_check_edge_cases(rows, components):
+    mask = np.array([[c == "#" for c in row] for row in rows])
+    # the same shape inside a larger cold frame
+    framed = np.zeros((mask.shape[0] + 4, mask.shape[1] + 6), dtype=bool)
+    framed[2:-2, 3:-3] = mask
+    for m in (mask, framed):
+        got, want = labeller_and_flood_fill(m)
+        assert len(want) == components
+        assert got == want
 
 
 def oracle_detect(frame, config):

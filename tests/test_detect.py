@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from thermocc.frame import ThermalFrame, decode_frame, encode_frame, \
     raw_from_celsius, read_frame
 from thermocc.manifest import (ManifestRecord, prediction_filenames,
                                read_manifest, resolve)
-from thermocc.synth import DatasetSpec, FRONTAL_SCENARIOS, generate_dataset
+from thermocc.synth import (DatasetSpec, FRONTAL_SCENARIOS, generate_dataset,
+                            plan_dataset, render_frame)
 
 from oracle import flood_fill_components
 
@@ -427,3 +429,31 @@ def test_prediction_filename():
         ["frame_000001.txt", "c.txt"]
     with pytest.raises(ConfigError):
         prediction_filenames([rec("a/x.pgm"), rec("b/x.pgm")])
+
+
+# sha256 of warm_room_lines() at the commit that added this test
+WARM_ROOM_SHA256 = ("419d422e48859b1f131bc9caca5e3ec3"
+                   "eef1e4654c2d2fd9a16294d5482e5876")
+
+
+def warm_room_lines():
+    """One line per frame naming its detection count, then one line per
+    detection: the float.hex of each box field and of the confidence.
+    Noise in a room at 29.0 C or warmer leaves tens to about 1500 warm
+    components per frame, so most of these frames go through the
+    union-find rather than the one-blob exit."""
+    for background in (28.5, 29.0, 29.5, 29.9):
+        for seed in (0, 1):
+            spec = DatasetSpec(frames=10, seed=seed,
+                               background_temp=background)
+            for plan in plan_dataset(spec):
+                dets = detect_blobs(render_frame(spec, plan)[0])
+                yield f"{background} {seed} {plan.index}: {len(dets)}"
+                for d in dets:
+                    yield " ".join(float.hex(v) for v in (
+                        d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence))
+
+
+def test_warm_room_detections_keep_their_bits():
+    text = "\n".join(warm_room_lines()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == WARM_ROOM_SHA256

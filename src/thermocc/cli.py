@@ -81,6 +81,17 @@ def _dataset_spec(args, **extra) -> DatasetSpec:
                        noise_sigma=args.sigma, **extra)
 
 
+def _check_out_is_empty(out: str) -> None:
+    """Refuse an --out that holds anything, so that two runs never mix."""
+    try:
+        used = os.path.lexists(out) and (not os.path.isdir(out)
+                                         or bool(os.listdir(out)))
+    except OSError as exc:
+        raise ConfigError(f"cannot inspect --out {out}: {exc}") from exc
+    if used:
+        raise ConfigError(f"--out {out} exists and is not an empty directory")
+
+
 def _write_split(records, assignment, manifest_path: str, out_dir: str):
     """Split stage: subset manifests rebased onto out_dir; writes and
     returns the ratio report."""
@@ -145,6 +156,7 @@ def _occupancy(records, predictions, tau: float, policy: ControlPolicy,
 def cmd_synth(args) -> int:
     spec = _dataset_spec(args, background_temp=args.background,
                          start_ts=args.start_ts, period=args.period)
+    _check_out_is_empty(args.out)
     generate_dataset(spec, args.out)
     occupied = occupied_count(spec.frames, spec.occupied_fraction)
     print(f"wrote {spec.frames} frames ({occupied} occupied, "
@@ -168,6 +180,7 @@ def cmd_detect(args) -> int:
     records = read_manifest(args.manifest)
     config = DetectorConfig(warm_threshold=args.warm_threshold,
                             nms_iou=args.nms_iou)
+    _check_out_is_empty(args.out)
     names = prediction_filenames(records)
     detections = detect_manifest(records, args.manifest, config)
     make_dirs(args.out)
@@ -212,6 +225,7 @@ def cmd_pipeline(args) -> int:
     # the first write, so a bad one leaves no half-written run behind.
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    _check_out_is_empty(args.out)
     check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     spec = _dataset_spec(args)

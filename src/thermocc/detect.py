@@ -148,8 +148,9 @@ def _warm_components(raw: np.ndarray, cut: int
         return [(int(starts[0]) // stride, int(stops[-1]) // stride + 1,
                  int(columns[0::2].min()), int(columns[1::2].max()), counts)]
 
-    # Union-find over runs. Each union keeps the lower index as the
-    # root, so a component's root is its first run.
+    # Union-find over the same ranges: run j + 1 joins runs lo[j] to
+    # hi[j] - 1. Each union keeps the lower index as the root, so a
+    # component's root is its first run.
     starts, stops = starts.tolist(), stops.tolist()
     parent = list(range(len(starts)))
 
@@ -159,17 +160,11 @@ def _warm_components(raw: np.ndarray, cut: int
             i = parent[i]
         return i
 
-    # Stops ascend, so i only moves forward.
-    i = 0
-    for j, (start, stop) in enumerate(zip(starts, stops)):
-        while stops[i] <= start - stride:
-            i += 1
-        k = i
-        while starts[k] < stop - stride:
+    for j, (first, end) in enumerate(zip(lo.tolist(), hi.tolist()), 1):
+        for k in range(first, end):
             a, b = root(k), root(j)
             if a != b:
                 parent[max(a, b)] = min(a, b)
-            k += 1
 
     roots = [root(j) for j in range(len(starts))]
     members: dict[int, list[int]] = {}  # roots ascend in insertion order

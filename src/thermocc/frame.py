@@ -20,7 +20,13 @@ from .errors import (FrameFormatError, FrameIOError, FrameMetadataError,
 CENTI_KELVIN_OFFSET = 27315  # raw value of 0.00 degrees Celsius
 PGM_MAXVAL = 65535
 
+# The header grammar: whitespace after the magic, the `# ts=` line, then
+# width, height and maxval, each optional so that the first missing one
+# can be named, then the one whitespace byte that ends the header.
+_SPACE = re.compile(rb"[ \t\r\n]*")
 _TS_COMMENT = re.compile(rb"#[ \t]*ts=(-?\d+)[ \t\r]*$")
+_FIELDS = re.compile(rb"[ \t\r\n]*(\d+)?(?:[ \t\r\n]+(\d+))?"
+                     rb"(?:[ \t\r\n]+(\d+))?([ \t\r\n])?")
 
 
 def celsius_from_raw(raw):
@@ -71,8 +77,11 @@ def decode_frame(data: bytes) -> ThermalFrame:
     """Parse one binary PGM frame from bytes."""
     if not data.startswith(b"P5"):
         raise FrameFormatError("not a binary PGM: missing P5 magic")
-    pos = 2
-    pos = _skip_space(data, pos, "after magic")
+    pos = _SPACE.match(data, 2).end()
+    if pos == 2:
+        raise FrameFormatError("expected whitespace after magic")
+    if pos == len(data):
+        raise FrameFormatError("header ends prematurely")
     if data[pos:pos + 1] != b"#":
         raise FrameMetadataError("expected a '# ts=' comment after the magic")
     eol = data.find(b"\n", pos)
@@ -86,18 +95,24 @@ def decode_frame(data: bytes) -> ThermalFrame:
         timestamp = int(m.group(1))
     except ValueError:  # beyond the interpreter's int digit limit
         raise FrameMetadataError("timestamp has too many digits") from None
-    pos = eol + 1
-    width, pos = _read_uint(data, pos, "width")
-    height, pos = _read_uint(data, pos, "height")
-    maxval, pos = _read_uint(data, pos, "maxval")
+    m = _FIELDS.match(data, eol + 1)
+    fields = []
+    for what, digits in zip(("width", "height", "maxval"), m.groups()):
+        if digits is None:
+            raise FrameFormatError(f"missing or non-numeric {what} in header")
+        try:
+            fields.append(int(digits))
+        except ValueError:  # beyond the interpreter's int digit limit
+            raise FrameFormatError(
+                f"{what} in header has too many digits") from None
+    width, height, maxval = fields
     if maxval != PGM_MAXVAL:
         raise FrameFormatError(f"maxval must be {PGM_MAXVAL}, got {maxval}")
     if width < 1 or height < 1:
         raise FrameFormatError(f"bad dimensions {width}x{height}")
-    if pos >= len(data) or data[pos] not in b" \t\r\n":
+    if m.group(4) is None:
         raise FrameFormatError("missing whitespace before pixel data")
-    pos += 1
-    payload = data[pos:]
+    payload = data[m.end():]
     expected = width * height * 2
     if len(payload) != expected:
         raise FrameTruncationError(
@@ -112,31 +127,6 @@ def encode_frame(frame: ThermalFrame) -> bytes:
     header = (f"P5\n# ts={frame.timestamp}\n"
               f"{frame.width} {frame.height}\n{PGM_MAXVAL}\n").encode("ascii")
     return header + frame.temps.astype(">u2").tobytes()
-
-
-def _skip_space(data: bytes, pos: int, where: str) -> int:
-    start = pos
-    while pos < len(data) and data[pos] in b" \t\r\n":
-        pos += 1
-    if pos == start:
-        raise FrameFormatError(f"expected whitespace {where}")
-    if pos >= len(data):
-        raise FrameFormatError("header ends prematurely")
-    return pos
-
-
-def _read_uint(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    while pos < len(data) and data[pos] in b" \t\r\n":
-        pos += 1
-    start = pos
-    while pos < len(data) and data[pos:pos + 1].isdigit():
-        pos += 1
-    if pos == start:
-        raise FrameFormatError(f"missing or non-numeric {what} in header")
-    try:
-        return int(data[start:pos]), pos
-    except ValueError:  # beyond the interpreter's int digit limit
-        raise FrameFormatError(f"{what} in header has too many digits") from None
 
 
 def read_frame(path: str) -> ThermalFrame:

@@ -7,6 +7,7 @@ import pytest
 
 import thermocc
 from thermocc.cli import main
+from thermocc.errors import FrameIOError
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import DatasetSpec, generate_dataset, occupied_count
 
@@ -217,16 +218,43 @@ def test_killed_synth_worker_fails_the_run(tmp_path):
     assert proc.stderr.startswith("error: ") and "worker" in proc.stderr
 
 
-def test_worker_write_error_reaches_caller(tmp_path, capsys):
+def test_worker_write_error_reaches_caller(tmp_path, capsys, monkeypatch):
     """A frame that cannot be written fails the run with exit 1 and names
     the file, whichever process wrote it."""
+    write_frame = thermocc.synth.write_frame
+
+    def full_disk_for_frame_1(path, frame):
+        if os.path.basename(path) == "frame_000001.pgm":
+            raise FrameIOError(f"cannot write frame {path}: disk full")
+        write_frame(path, frame)
+
+    monkeypatch.setattr(thermocc.synth, "write_frame", full_disk_for_frame_1)
     for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        (out / "dataset" / "frames" / "frame_000001.pgm").mkdir(parents=True)
         assert main(["pipeline", "--frames", "40", "--threads", threads,
-                     "--out", str(out)]) == 1
+                     "--out", str(tmp_path / f"t{threads}")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame_000001.pgm" in err
+
+
+def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys):
+    """A run into an --out that holds anything exits 1 before it writes,
+    so it never mixes with the files already there; an empty directory
+    is fine."""
+    runs = [["pipeline", "--frames", "40"],
+            ["synth", "--frames", "6"],
+            ["detect", "--manifest", frontal_dataset]]
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == 0
+        first = tree_bytes(str(out))
+        assert main(argv + ["--out", str(out)]) == 1
+        assert tree_bytes(str(out)) == first
+        assert "not an empty directory" in capsys.readouterr().err
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main(["synth", "--frames", "6", "--out", str(blocker)]) == 1
+    assert blocker.read_text() == ""
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

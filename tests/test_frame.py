@@ -109,3 +109,66 @@ def test_decode_rejects_overlong_header_numbers():
                    b"1 1\n" + digits):
         with pytest.raises(FrameFormatError):
             decode_frame(b"P5\n# ts=0\n" + header + b"\n\x00\x00")
+
+
+_BIG = b"9" * 5000  # past the interpreter's int digit limit
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (b"P6\n# ts=0\n1 1\n65535\n\x00\x00", FrameFormatError,
+     "not a binary PGM: missing P5 magic"),
+    (b"", FrameFormatError, "not a binary PGM: missing P5 magic"),
+    (b"P5# ts=0\n1 1\n65535\n\x00\x00", FrameFormatError,
+     "expected whitespace after magic"),
+    (b"P5", FrameFormatError, "expected whitespace after magic"),
+    (b"P5 \t\r\n", FrameFormatError, "header ends prematurely"),
+    (b"P5\n1 1\n65535\n\x00\x00", FrameMetadataError,
+     "expected a '# ts=' comment after the magic"),
+    (b"P5\n# ts=0", FrameFormatError, "comment line is not terminated"),
+    (b"P5\n# ts=abc\n1 1\n65535\n\x00\x00", FrameMetadataError,
+     "comment must read '# ts=<integer>', got b'# ts=abc'"),
+    (b"P5\n#ts=1 2\n1 1\n65535\n\x00\x00", FrameMetadataError,
+     "comment must read '# ts=<integer>', got b'#ts=1 2'"),
+    (b"P5\n# ts=" + _BIG + b"\n1 1\n65535\n\x00\x00", FrameMetadataError,
+     "timestamp has too many digits"),
+    (b"P5\n# ts=0\n", FrameFormatError,
+     "missing or non-numeric width in header"),
+    (b"P5\n# ts=0\n \t\r\n", FrameFormatError,
+     "missing or non-numeric width in header"),
+    (b"P5\n# ts=0\n+1 1\n65535\n\x00\x00", FrameFormatError,
+     "missing or non-numeric width in header"),
+    (b"P5\n# ts=0\n" + _BIG + b"\n", FrameFormatError,
+     "width in header has too many digits"),
+    (b"P5\n# ts=0\n1", FrameFormatError,
+     "missing or non-numeric height in header"),
+    (b"P5\n# ts=0\n1x1\n65535\n\x00\x00", FrameFormatError,
+     "missing or non-numeric height in header"),
+    (b"P5\n# ts=0\n1 " + _BIG + b" x", FrameFormatError,
+     "height in header has too many digits"),
+    (b"P5\n# ts=0\n1 1\n", FrameFormatError,
+     "missing or non-numeric maxval in header"),
+    (b"P5\n# ts=0\n1 1 -65535\n\x00\x00", FrameFormatError,
+     "missing or non-numeric maxval in header"),
+    (b"P5\n# ts=0\n1 1\n" + _BIG, FrameFormatError,
+     "maxval in header has too many digits"),
+    (b"P5\n# ts=0\n1 1\n255\n\x00\x00", FrameFormatError,
+     "maxval must be 65535, got 255"),
+    (b"P5\n# ts=0\n0 1\n65535", FrameFormatError, "bad dimensions 0x1"),
+    (b"P5\n# ts=0\n2 000\n65535\n", FrameFormatError, "bad dimensions 2x0"),
+    (b"P5\n# ts=0\n1 1\n65535", FrameFormatError,
+     "missing whitespace before pixel data"),
+    (b"P5\n# ts=0\n1 1\n65535x\x00\x00", FrameFormatError,
+     "missing whitespace before pixel data"),
+    (b"P5\n# ts=0\n1 1\n65535\n\x00", FrameTruncationError,
+     "expected 2 payload bytes for 1x1, got 1"),
+    # only one whitespace byte ends the header: the LF of CR LF is payload
+    (b"P5\n# ts=0\n2 1\n65535\r\n\x00\x00\x00\x00", FrameTruncationError,
+     "expected 4 payload bytes for 2x1, got 5"),
+])
+def test_decode_error_table(data, error, message):
+    """Each way a header can be malformed, with the error class and the
+    exact message it gives: one row or more for every raise."""
+    with pytest.raises(error) as info:
+        decode_frame(data)
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -1,4 +1,5 @@
-"""Property tests: the parsers of outside input fail only with ThermoccError.
+"""Property tests: the parsers of outside input fail only with ThermoccError,
+and the frame parser reads every header its grammar allows.
 
 Any exception other than a ThermoccError would reach the CLI as exit
 code 2, which is reserved for bugs. The runs are derandomized and keep
@@ -46,6 +47,44 @@ def test_decode_frame_raises_only_thermocc_errors(data):
     except ThermoccError:
         return
     assert isinstance(frame, ThermalFrame)
+
+
+
+_ANY_SPACE = " \t\r\n"
+
+
+def _spaces(chars, min_size):
+    return st.text(alphabet=chars, min_size=min_size, max_size=4).map(
+        str.encode)
+
+
+@st.composite
+def valid_pgm(draw):
+    """A valid frame whose header has any mix of space, tab, CR and LF
+    wherever the grammar allows whitespace, and leading zeros on its
+    numbers; returns (bytes, width, height, timestamp, payload)."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ts = draw(st.integers(-2 ** 40, 2 ** 40))
+    payload = draw(st.binary(min_size=2 * width * height,
+                             max_size=2 * width * height))
+    header = [b"P5", draw(_spaces(_ANY_SPACE, 1)), b"#",
+              draw(_spaces(" \t", 0)), b"ts=", str(ts).encode(),
+              draw(_spaces(" \t\r", 0)), b"\n"]
+    for k, field in enumerate((width, height, 65535)):
+        zeros = b"0" * draw(st.integers(0, 2))
+        header += [draw(_spaces(_ANY_SPACE, min(k, 1))), zeros,
+                   str(field).encode()]
+    header.append(draw(st.sampled_from(_ANY_SPACE)).encode())
+    return b"".join(header) + payload, width, height, ts, payload
+
+
+@given(valid_pgm())
+@SETTINGS
+def test_valid_headers_decode_to_their_fields(case):
+    data, width, height, ts, payload = case
+    frame = decode_frame(data)
+    assert (frame.width, frame.height, frame.timestamp) == (width, height, ts)
+    assert frame.temps.astype(">u2").tobytes() == payload
 
 
 # --- labels and predictions --------------------------------------------------

@@ -48,15 +48,15 @@ class DetectorConfig:
         if not math.isfinite(self.warm_threshold):
             raise ConfigError(f"warm_threshold must be finite, got "
                               f"{self.warm_threshold}")
-        if not (self.t_warm < self.t_face):
-            raise ConfigError(
-                f"need t_warm < t_face, got {self.t_warm} >= {self.t_face}")
+        if not (-math.inf < self.t_warm < self.t_face < math.inf):
+            raise ConfigError(f"need finite t_warm < t_face, got "
+                              f"{self.t_warm} and {self.t_face}")
         for name, knots in (("area", self.area_knots),
                             ("aspect", self.aspect_knots)):
             a, b, c, d = knots
-            if not (a <= b <= c <= d and a < b and c < d):
-                raise ConfigError(f"{name} knots must satisfy a < b <= c < d, "
-                                  f"got {knots}")
+            if not (-math.inf < a < b <= c < d < math.inf):
+                raise ConfigError(f"{name} knots must be finite with "
+                                  f"a < b <= c < d, got {knots}")
         if not (0.0 <= self.nms_iou <= 1.0):
             raise ConfigError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
 
@@ -131,11 +131,10 @@ def _warm_components(raw: np.ndarray, cut: int
     warm = padded[:, 1:-1]
     np.greater_equal(raw, cut, out=warm)
     flat = padded.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    edges = (flat[1:] != flat[:-1]).nonzero()[0]
     if edges.size == 0:
         return []
     starts, stops = edges[0::2], edges[1::2]
-    counts = raw[warm]  # raster order, which is run order
 
     # Run j touches the runs of the row above that overlap its span
     # moved up one stride: indices lo[j] to hi[j], as starts and stops
@@ -144,9 +143,10 @@ def _warm_components(raw: np.ndarray, cut: int
     lo = np.searchsorted(stops, starts[1:] - stride, side="right")
     hi = np.searchsorted(starts, stops[1:] - stride, side="left")
     if (hi > lo).all():
-        columns = edges % stride
-        return [(int(starts[0]) // stride, int(stops[-1]) // stride + 1,
-                 int(columns[0::2].min()), int(columns[1::2].max()), counts)]
+        y0, y1 = int(starts[0]) // stride, int(stops[-1]) // stride + 1
+        x0, x1 = int((starts % stride).min()), int((stops % stride).max())
+        return [(y0, y1, x0, x1, raw[y0:y1, x0:x1][warm[y0:y1, x0:x1]])]
+    counts = raw[warm]  # raster order, which is run order
 
     # Union-find over the same ranges: run j + 1 joins runs lo[j] to
     # hi[j] - 1. Each union keeps the lower index as the root, so a
@@ -195,7 +195,7 @@ def detect_blobs(frame: ThermalFrame,
     Returns detections in metrics.visit_order, already thinned by NMS.
     Boxes are the tight pixel bounding boxes of the components,
     converted to normalized coordinates; zero-score components are
-    dropped.
+    dropped, area and aspect first; NMS runs only on two or more boxes.
     """
     cut = config._raw_cut
     if cut > PGM_MAXVAL:
@@ -203,19 +203,25 @@ def detect_blobs(frame: ThermalFrame,
     frame_area = float(frame.width * frame.height)
     dets = []
     for y0, y1, x0, x1, counts in _warm_components(frame.temps, cut):
-        # The mean sums the same float64 sequence as the Celsius frame
-        # masked to the component would, so it keeps its bits; it is
-        # the sum and division that ndarray.mean does.
+        # PixelBox.area()'s floats, as small int products are exact. The
+        # config's values are finite, so a zero here zeroes the product.
+        area_frac = (x1 - x0) * (y1 - y0) / frame_area
+        aspect = (y1 - y0) / (x1 - x0)
+        if not (_trapezoid(area_frac, config.area_knots)
+                and _trapezoid(aspect, config.aspect_knots)):
+            continue
+        # ndarray.mean's sum and division over the same float64 sequence
+        # as the Celsius frame masked to the component, so it keeps its bits.
         temps = celsius_from_raw(counts)
         pixel_box = PixelBox(float(x0), float(y0), float(x1), float(y1))
         conf = score_blob(float(np.add.reduce(temps)) / temps.size,
-                          pixel_box.area() / frame_area,
-                          (y1 - y0) / (x1 - x0), config)
+                          area_frac, aspect, config)
         if conf <= 0.0:
             continue
         dets.append(Detection(0, from_pixel_box(pixel_box, frame.width,
                                                 frame.height), conf))
-    return nms(dets, config.nms_iou, frame.width, frame.height)
+    return (nms(dets, config.nms_iou, frame.width, frame.height)
+            if len(dets) >= 2 else dets)
 
 
 def detect_manifest(records: list[ManifestRecord], manifest_path: str,

@@ -115,8 +115,12 @@ def decode_frame(data: bytes) -> ThermalFrame:
     payload = data[m.end():]
     expected = width * height * 2
     if len(payload) != expected:
+        try:
+            size = str(expected)
+        except ValueError:  # beyond the interpreter's int digit limit
+            size = "too many"
         raise FrameTruncationError(
-            f"expected {expected} payload bytes for {width}x{height}, "
+            f"expected {size} payload bytes for {width}x{height}, "
             f"got {len(payload)}")
     temps = np.frombuffer(payload, dtype=">u2").astype(np.uint16)
     return ThermalFrame(width, height, temps.reshape(height, width), timestamp)
@@ -131,8 +135,8 @@ def encode_frame(frame: ThermalFrame) -> bytes:
 
 def read_frame(path: str) -> ThermalFrame:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
     except OSError as exc:
         raise FrameIOError(f"cannot read frame {path}: {exc}") from exc
     return decode_frame(data)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from thermocc.annot import (Detection, NormalizedBox, PixelBox,
 from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, _warm_components,
                              detect_blobs, detect_manifest, nms, score_blob)
 from thermocc.errors import ConfigError
-from thermocc.frame import ThermalFrame, decode_frame, encode_frame, \
-    raw_from_celsius, read_frame
+from thermocc.frame import ThermalFrame, celsius_from_raw, decode_frame, \
+    encode_frame, raw_from_celsius, read_frame
 from thermocc.manifest import (ManifestRecord, prediction_filenames,
                                read_manifest, resolve)
 from thermocc.synth import (DatasetSpec, FRONTAL_SCENARIOS, generate_dataset,
@@ -63,6 +64,16 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ConfigError):
             DetectorConfig(warm_threshold=bad)
+    # a non-finite temperature or knot can make a score NaN, which would
+    # not be zeroed by a zero area or aspect score
+    inf = float("inf")
+    for bad in (dict(t_warm=-inf), dict(t_face=inf),
+                dict(area_knots=(-inf, 0.02, 0.25, 0.6)),
+                dict(aspect_knots=(0.6, 0.8, 1.6, inf)),
+                dict(aspect_knots=(0.6, 0.8, 1.6, 1.6)),
+                dict(area_knots=(0.02, 0.02, 0.25, 0.6))):
+        with pytest.raises(ConfigError):
+            DetectorConfig(**bad)
 
 
 def test_score_blob_saturated():
@@ -309,6 +320,75 @@ def test_dense_frame_matches_oracle(pattern):
         [box for box, _ in flood_fill_components(mask.tolist())]
     assert len(components) > 500
     assert detect_blobs(frame) == oracle_detect(frame, DEFAULT_CONFIG)
+
+
+def knot_cases(x):
+    """Trapezoid knots with a or d on x, one ulp inside and one ulp
+    outside, as (knots, scores above zero)."""
+    up, down = math.nextafter(x, math.inf), math.nextafter(x, -math.inf)
+    for a, above in ((x, False), (down, True), (up, False)):
+        yield (a, 2 * x, 3 * x, 4 * x), above
+    for d, above in ((x, False), (up, True), (down, False)):
+        yield (x / 4, x / 2, 3 * x / 4, d), above
+
+
+@pytest.mark.parametrize("score", ["area", "aspect"])
+def test_geometry_skip_at_the_trapezoid_knots(score):
+    """The detector drops a component on its area or aspect score before
+    taking its temperatures; at and around each knot it must still give
+    what scoring every component gives, bit for bit."""
+    rng = np.random.default_rng(11)
+    temps = np.full((96, 128), 22.0)
+    for y, x in ((10, 10), (60, 90)):  # two 20 x 24 blobs: the union-find
+        temps[y:y + 24, x:x + 20] = rng.uniform(30.0, 40.0, (24, 20))
+    frame = frame_from_celsius(temps)
+    ratio = {"area": 20 * 24 / (128 * 96), "aspect": 24 / 20}[score]
+    base = dataclasses.replace(OPEN_CONFIG, t_face=40.0)
+    for knots, above in knot_cases(ratio):
+        config = dataclasses.replace(base, **{f"{score}_knots": knots})
+        dets = detect_blobs(frame, config)
+        assert dets == oracle_detect(frame, config)
+        assert len(dets) == (2 if above else 0)
+
+
+def test_zero_geometry_components_convert_no_temperatures(monkeypatch):
+    """On the checkerboard every component is one pixel, whose area
+    score is zero, so no count is converted to Celsius; a frame with one
+    scoring blob converts that blob's counts once."""
+    yy, xx = np.indices((96, 128))
+    checker = frame_from_celsius(np.where((yy + xx) % 2 == 0, 34.0, 22.0))
+    temps = np.full((96, 128), 22.0)
+    temps[36:60, 54:74] = 34.0
+    one_blob = frame_from_celsius(temps)
+    DEFAULT_CONFIG._raw_cut  # computed here, not under the spy
+    sizes = []
+
+    def spy(raw):
+        sizes.append(len(raw))
+        return celsius_from_raw(raw)
+
+    monkeypatch.setattr("thermocc.detect.celsius_from_raw", spy)
+    assert detect_blobs(checker) == []
+    assert sizes == []
+    assert len(detect_blobs(one_blob)) == 1
+    assert sizes == [20 * 24]
+
+
+def test_nms_runs_only_on_two_or_more_boxes(monkeypatch):
+    calls = []
+
+    def spy(dets, *args):
+        calls.append(len(dets))
+        return nms(dets, *args)
+
+    monkeypatch.setattr("thermocc.detect.nms", spy)
+    temps = np.full((96, 128), 22.0)
+    temps[36:60, 54:74] = 34.0
+    assert len(detect_blobs(frame_from_celsius(temps))) == 1
+    assert calls == []
+    temps[10:34, 10:30] = 34.0
+    assert len(detect_blobs(frame_from_celsius(temps))) == 2
+    assert calls == [2]
 
 
 def test_threshold_edges_of_the_raw_range():

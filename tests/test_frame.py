@@ -100,6 +100,11 @@ def test_read_frame_missing_file(tmp_path):
         read_frame(str(tmp_path / "nope.pgm"))
 
 
+def test_read_frame_directory(tmp_path):
+    with pytest.raises(FrameIOError):
+        read_frame(str(tmp_path))
+
+
 def test_decode_rejects_overlong_header_numbers():
     """Header fields past the interpreter's int digit limit are bad input."""
     digits = b"9" * 5000
@@ -109,6 +114,19 @@ def test_decode_rejects_overlong_header_numbers():
                    b"1 1\n" + digits):
         with pytest.raises(FrameFormatError):
             decode_frame(b"P5\n# ts=0\n" + header + b"\n\x00\x00")
+
+
+def test_decode_rejects_a_payload_size_too_long_to_print():
+    """Two size fields that each parse can multiply to a payload size
+    with more digits than the interpreter will print; that is bad input
+    too, not a bug."""
+    digits = b"9" * 2200
+    with pytest.raises(FrameTruncationError) as info:
+        decode_frame(b"P5\n# ts=0\n" + digits + b" " + digits
+                     + b"\n65535\n\x00\x00")
+    message = str(info.value)
+    assert message.startswith("expected too many payload bytes for 999")
+    assert message.endswith(", got 2")
 
 
 _BIG = b"9" * 5000  # past the interpreter's int digit limit

@@ -34,8 +34,10 @@ def pgm_like(draw):
     """A P5 header with each part drawn valid or mangled, then a payload."""
     ts = draw(st.one_of(DIGITS.map(str.encode), st.binary(max_size=6)))
     parts = [b"P5", draw(_WS), b"# ts=", ts, b"\n"]
-    for _ in range(3):
-        parts += [draw(_FIELD), draw(_WS)]
+    # the maxval field is often the one valid value, so that the checks
+    # after it, on the sizes and the payload, run too
+    for field in (_FIELD, _FIELD, st.one_of(st.just(b"65535"), _FIELD)):
+        parts += [draw(field), draw(_WS)]
     return b"".join(parts) + draw(st.binary(max_size=32))
 
 

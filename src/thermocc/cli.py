@@ -206,6 +206,8 @@ def cmd_eval(args) -> int:
 def cmd_occupancy(args) -> int:
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     records = read_manifest(args.manifest)
+    if not records:
+        raise ConfigError("manifest holds no records to take occupancy from")
     samples, missing = load_samples(records, args.preds, args.manifest)
     _report_missing_predictions(missing, len(records), args.preds)
     actual, detected, confusion, schedule = _occupancy(

@@ -139,53 +139,46 @@ def _warm_components(raw: np.ndarray, cut: int
     # Run j touches the runs of the row above that overlap its span
     # moved up one stride: indices lo[j] to hi[j], as starts and stops
     # both ascend. If every run after the first touches one, each joins
-    # an earlier run, so all of them join run 0: one component.
+    # an earlier run, so all of them join run 0: one component. So do
+    # they if every run before the last touches one in the row below.
     lo = np.searchsorted(stops, starts[1:] - stride, side="right")
     hi = np.searchsorted(starts, stops[1:] - stride, side="left")
-    if (hi > lo).all():
+    if (hi > lo).all() or (
+            np.searchsorted(starts, stops[:-1] + stride, side="left")
+            > np.searchsorted(stops, starts[:-1] + stride, side="right")).all():
         y0, y1 = int(starts[0]) // stride, int(stops[-1]) // stride + 1
         x0, x1 = int((starts % stride).min()), int((stops % stride).max())
         return [(y0, y1, x0, x1, raw[y0:y1, x0:x1][warm[y0:y1, x0:x1]])]
-    counts = raw[warm]  # raster order, which is run order
 
-    # Union-find over the same ranges: run j + 1 joins runs lo[j] to
-    # hi[j] - 1. Each union keeps the lower index as the root, so a
-    # component's root is its first run.
-    starts, stops = starts.tolist(), stops.tolist()
-    parent = list(range(len(starts)))
+    # The same ranges as edges: run lower[e] touches run upper[e]. Each
+    # round every run takes the least label at either end of its edges,
+    # then its label's label. Labels only fall and stay in the component,
+    # so once nothing changes each run holds its component's first run.
+    runs, touches = np.arange(starts.size), hi - lo
+    lower = np.repeat(runs[1:], touches)
+    upper = np.arange(lower.size) - np.repeat(np.cumsum(touches) - hi, touches)
+    label, hooked = None, runs
+    while not np.array_equal(label, hooked):
+        label, hooked = hooked, hooked.copy()
+        np.minimum.at(hooked, lower, label[upper])
+        np.minimum.at(hooked, upper, label[lower])
+        hooked = hooked[hooked]
 
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for j, (first, end) in enumerate(zip(lo.tolist(), hi.tolist()), 1):
-        for k in range(first, end):
-            a, b = root(k), root(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    roots = [root(j) for j in range(len(starts))]
-    members: dict[int, list[int]] = {}  # roots ascend in insertion order
-    for j, r in enumerate(roots):
-        members.setdefault(r, []).append(j)
-    # A stable sort by root lays each component's counts out in raster
-    # order.
-    if len(members) > 1:
-        lengths = np.subtract(stops, starts)
-        counts = counts[np.argsort(np.repeat(roots, lengths), kind="stable")]
-    components = []
-    offset = 0
-    for runs in members.values():
-        size = sum(stops[j] - starts[j] for j in runs)
-        components.append((starts[runs[0]] // stride,
-                           starts[runs[-1]] // stride + 1,
-                           min(starts[j] % stride for j in runs),
-                           max(stops[j] % stride for j in runs),
-                           counts[offset:offset + size]))
-        offset += size
-    return components
+    # A stable sort by label lays out each component's runs and counts in
+    # raster order, components by first run. Slices cut the counts, as
+    # np.split loops in Python at microseconds a piece.
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], (label == runs).nonzero()[0])
+    rows, x0 = np.divmod(starts[order], stride)
+    x1 = stops[order] - rows * stride
+    lengths = stops - starts
+    counts = raw[warm][np.argsort(np.repeat(label, lengths), kind="stable")]
+    ends = np.cumsum(np.add.reduceat(lengths[order], bounds)).tolist()
+    return list(zip(np.minimum.reduceat(rows, bounds).tolist(),
+                    (np.maximum.reduceat(rows, bounds) + 1).tolist(),
+                    np.minimum.reduceat(x0, bounds).tolist(),
+                    np.maximum.reduceat(x1, bounds).tolist(),
+                    map(counts.__getitem__, map(slice, [0] + ends, ends))))
 
 
 def detect_blobs(frame: ThermalFrame,

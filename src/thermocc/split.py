@@ -119,6 +119,8 @@ def stratified_split(records, fractions: SplitFractions = DEFAULT_FRACTIONS,
     returned with indices sorted ascending. A stratum absent from the
     manifest simply contributes nothing.
     """
+    if seed < 0:
+        raise SplitConfigError(f"seed must be non-negative, got {seed}")
     flags = _occupancy_flags(records)
     if not flags:
         raise InfeasibleSplitError("manifest is empty")

@@ -111,6 +111,16 @@ def test_occupancy_outputs(tmp_path, frontal_dataset, capsys):
     assert "recall 1.000" in capsys.readouterr().out
 
 
+def test_occupancy_on_an_empty_manifest_fails_cleanly(tmp_path, capsys):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("")
+    out = tmp_path / "occ"
+    assert main(["occupancy", "--manifest", str(manifest),
+                 "--preds", str(tmp_path), "--out", str(out)]) == 1
+    assert "manifest holds no records" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_reproducible(tmp_path):
     args = ["pipeline", "--frames", "120", "--seed", "9"]
     rc = main(args + ["--out", str(tmp_path / "a"), "--threads", "1"])
@@ -147,7 +157,7 @@ def test_subcommands_reproduce_pipeline(tmp_path):
         (run / "plots" / "occupancy_timeline.svg").read_bytes()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, frontal_dataset, capsys, monkeypatch):
     assert main([]) == 1  # a subcommand is required
     assert main(["synth", "--bogus"]) == 1
     assert main(["--help"]) == 0
@@ -157,6 +167,17 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "p")]) == 1
     assert main(["synth", "--out", str(tmp_path / "nan"), "--frames", "4",
                  "--background", "nan"]) == 1
+    # a negative split seed, from the flag or the environment
+    split = ["split", "--manifest", frontal_dataset,
+             "--out", str(tmp_path / "s")]
+    capsys.readouterr()
+    assert main(split + ["--seed", "-1"]) == 1
+    monkeypatch.setenv("THERMOCC_SEED", "-1")
+    assert main(split) == 1
+    err = capsys.readouterr().err
+    assert err.count("seed must be non-negative, got -1") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_bad_fractions_fail_cleanly(tmp_path, frontal_dataset):

@@ -260,6 +260,26 @@ def test_warm_components_match_flood_fill(mask):
     # two runs that join one row down, and a run that joins nothing
     pytest.param(["##.##..#",
                   "#####..#"], 2, id="join-and-lone-run"),
+    # every run before the last touches a run of the row below: the
+    # check from the bottom takes these
+    pytest.param(["#...#...#",
+                  "##.###.##",
+                  ".#######."], 1, id="W"),
+    pytest.param(["#.#.#.#",
+                  "#.#.#.#",
+                  "#######"], 1, id="comb-on-a-bar"),
+    # one component with a run that touches nothing above and another
+    # that touches nothing below: both checks fail
+    pytest.param(["#...#",
+                  "#####",
+                  "#...#"], 1, id="H"),
+    pytest.param(["#####",
+                  "#...#",
+                  "#....",
+                  "#####",
+                  "....#",
+                  "#...#",
+                  "#####"], 1, id="S"),
 ])
 def test_one_component_check_edge_cases(rows, components):
     mask = np.array([[c == "#" for c in row] for row in rows])
@@ -270,6 +290,42 @@ def test_one_component_check_edge_cases(rows, components):
         got, want = labeller_and_flood_fill(m)
         assert len(want) == components
         assert got == want
+
+
+def test_vertical_serpentine_matches_flood_fill():
+    """One path up and down every other column of a full-size frame,
+    turning on the top and bottom rows. Its runs form a chain of about
+    6000, whose far end the least label reaches only after about 100
+    labelling rounds."""
+    mask = np.zeros((96, 128), dtype=bool)
+    mask[:, ::2] = True
+    mask[0, 1::4] = True
+    mask[-1, 3::4] = True
+    got, want = labeller_and_flood_fill(mask)
+    assert len(want) == 1
+    assert got == want
+
+
+class NumpyWithoutArgsort:
+    """numpy, except that argsort raises: only the labeller sorts."""
+
+    def __getattr__(self, name):
+        if name == "argsort":
+            raise AssertionError("the frame entered the labeller")
+        return getattr(np, name)
+
+
+def test_u_shaped_frame_takes_the_one_blob_exit(monkeypatch):
+    mask = np.zeros((96, 128), dtype=bool)
+    mask[30:70, 40:90] = True
+    mask[30:60, 50:80] = False  # a U: two top runs that join below
+    monkeypatch.setattr("thermocc.detect.np", NumpyWithoutArgsort())
+    got, want = labeller_and_flood_fill(mask)
+    assert len(want) == 1
+    assert got == want
+    mask[65:70, 60:70] = False  # legs below as well, as in an H
+    with pytest.raises(AssertionError, match="entered the labeller"):
+        labeller_and_flood_fill(mask)
 
 
 def oracle_detect(frame, config):

@@ -7,7 +7,7 @@ from thermocc.annot import (Detection, GroundTruthBox, NormalizedBox,
                             serialize_labels, serialize_predictions,
                             to_pixel_box)
 from thermocc.errors import (AnnotationParseError, BoxRangeError,
-                             DegenerateBoxError)
+                             DegenerateBoxError, ThermoccError)
 
 
 def test_parse_labels_empty_means_no_objects():
@@ -56,6 +56,83 @@ def test_parse_labels_reports_offending_line():
     with pytest.raises(BoxRangeError) as err:
         parse_labels(text)
     assert "line 3" in str(err.value)
+
+
+# One row per raise that parse_labels or parse_predictions can reach,
+# with its exact class and message. A line that is wrong in more than one
+# way pins the order of checks: field count; class as an integer; cx, cy,
+# w, h as numbers; the box range; confidence as a number; then class 0
+# and the confidence range.
+PARSE_ERRORS = [
+    # field count
+    (parse_labels, "0 0.5 0.5 0.25\n", AnnotationParseError,
+     "line 1: expected 5 fields, got 4"),
+    (parse_labels, "0 0.5 0.5 0.25 0.3 0.9\n", AnnotationParseError,
+     "line 1: expected 5 fields, got 6"),
+    (parse_predictions, "0 0.5 0.5 0.25 0.3\n", AnnotationParseError,
+     "line 1: expected 6 fields, got 5"),
+    # class as an integer
+    (parse_labels, "zero 0.5 0.5 0.25 0.3\n", AnnotationParseError,
+     "line 1: class id 'zero' is not an integer"),
+    (parse_predictions, "0.0 0.5 0.5 0.25 0.3 0.9\n", AnnotationParseError,
+     "line 1: class id '0.0' is not an integer"),
+    # geometry as numbers
+    (parse_labels, "0 x 0.5 0.25 0.3\n", AnnotationParseError,
+     "line 1: cx 'x' is not a number"),
+    (parse_labels, "0 0.5 y 0.25 0.3\n", AnnotationParseError,
+     "line 1: cy 'y' is not a number"),
+    (parse_labels, "0 0.5 0.5 w 0.3\n", AnnotationParseError,
+     "line 1: w 'w' is not a number"),
+    (parse_predictions, "0 0.5 0.5 0.25 h 0.9\n", AnnotationParseError,
+     "line 1: h 'h' is not a number"),
+    # the box range
+    (parse_labels, "0 1.5 0.5 0.25 0.3\n", BoxRangeError,
+     "line 1: cx must lie in [0, 1], got 1.5"),
+    (parse_predictions, "0 0.5 -0.1 0.25 0.3 0.9\n", BoxRangeError,
+     "line 1: cy must lie in [0, 1], got -0.1"),
+    (parse_labels, "0 0.5 0.5 0 0.3\n", BoxRangeError,
+     "line 1: w must lie in (0, 1], got 0.0"),
+    (parse_labels, "0 0.5 0.5 0.25 nan\n", BoxRangeError,
+     "line 1: h must lie in (0, 1], got nan"),
+    # confidence as a number
+    (parse_predictions, "0 0.5 0.5 0.25 0.3 c\n", AnnotationParseError,
+     "line 1: confidence 'c' is not a number"),
+    # class 0 and the confidence range
+    (parse_labels, "1 0.5 0.5 0.25 0.3\n", BoxRangeError,
+     "line 1: only class 0 exists in this task, got 1"),
+    (parse_predictions, "1 0.5 0.5 0.25 0.3 0.9\n", BoxRangeError,
+     "line 1: only class 0 exists in this task, got 1"),
+    (parse_predictions, "0 0.5 0.5 0.25 0.3 1.2\n", BoxRangeError,
+     "line 1: confidence must lie in [0, 1], got 1.2"),
+    (parse_predictions, "0 0.5 0.5 0.25 0.3 nan\n", BoxRangeError,
+     "line 1: confidence must lie in [0, 1], got nan"),
+    # blank lines count toward the line number
+    (parse_labels, "\n0 0.5 0.5 0.25 0.3\n\n0 0.5 0.5 0.25 2.0\n",
+     BoxRangeError, "line 4: h must lie in (0, 1], got 2.0"),
+    # wrong in two ways: the earlier check wins
+    (parse_labels, "x 0.5\n", AnnotationParseError,
+     "line 1: expected 5 fields, got 2"),
+    (parse_labels, "x 0.5 y 0.25 0.3\n", AnnotationParseError,
+     "line 1: class id 'x' is not an integer"),
+    (parse_predictions, "0 x 0.5 0.25 0.3 c\n", AnnotationParseError,
+     "line 1: cx 'x' is not a number"),
+    (parse_predictions, "0 1.5 0.5 0.25 0.3 c\n", BoxRangeError,
+     "line 1: cx must lie in [0, 1], got 1.5"),
+    (parse_labels, "1 0.5 0.5 1.5 0.3\n", BoxRangeError,
+     "line 1: w must lie in (0, 1], got 1.5"),
+    (parse_predictions, "1 0.5 0.5 0.25 0.3 c\n", AnnotationParseError,
+     "line 1: confidence 'c' is not a number"),
+    (parse_predictions, "1 0.5 0.5 0.25 0.3 1.2\n", BoxRangeError,
+     "line 1: only class 0 exists in this task, got 1"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS)
+def test_parse_error_table(parse, text, error, message):
+    with pytest.raises(ThermoccError) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_serialize_labels_empty_and_single():

@@ -105,44 +105,28 @@ def from_pixel_box(pbox: PixelBox, width: int, height: int) -> NormalizedBox:
 
 def parse_labels(text: str) -> list[GroundTruthBox]:
     """Parse label text; blank and whitespace-only input is an empty list."""
-    boxes = []
-    for lineno, fields in _annotation_lines(text, 5):
-        class_id = _parse_class(fields[0], lineno)
-        box = _parse_geometry(fields[1:5], lineno)
-        try:
-            boxes.append(GroundTruthBox(class_id, box))
-        except BoxRangeError as exc:
-            raise BoxRangeError(f"line {lineno}: {exc}") from exc
-    return boxes
+    return _parse_lines(text, 5)
 
 
 def serialize_labels(boxes: list[GroundTruthBox]) -> str:
-    lines = [f"{b.class_id} {b.box.cx:.6f} {b.box.cy:.6f} "
-             f"{b.box.w:.6f} {b.box.h:.6f}" for b in boxes]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _format_lines(boxes, confidence=False)
 
 
 def parse_predictions(text: str) -> list[Detection]:
     """Parse prediction text: label grammar plus a trailing confidence."""
-    dets = []
-    for lineno, fields in _annotation_lines(text, 6):
-        class_id = _parse_class(fields[0], lineno)
-        box = _parse_geometry(fields[1:5], lineno)
-        conf = _parse_float(fields[5], lineno, "confidence")
-        try:
-            dets.append(Detection(class_id, box, conf))
-        except BoxRangeError as exc:
-            raise BoxRangeError(f"line {lineno}: {exc}") from exc
-    return dets
+    return _parse_lines(text, 6)
 
 
 def serialize_predictions(dets: list[Detection]) -> str:
-    lines = [f"{d.class_id} {d.box.cx:.6f} {d.box.cy:.6f} "
-             f"{d.box.w:.6f} {d.box.h:.6f} {d.confidence:.6f}" for d in dets]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _format_lines(dets, confidence=True)
 
 
-def _annotation_lines(text: str, nfields: int):
+def _parse_lines(text: str, nfields: int) -> list:
+    """Read `class cx cy w h [conf]` lines, five fields to a GroundTruthBox
+    and six to a Detection. Checks run in order: field count; class as an
+    integer; cx, cy, w, h as numbers; the box range; confidence as a
+    number; class 0 and the confidence range."""
+    rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
@@ -150,31 +134,32 @@ def _annotation_lines(text: str, nfields: int):
         if len(fields) != nfields:
             raise AnnotationParseError(
                 f"line {lineno}: expected {nfields} fields, got {len(fields)}")
-        yield lineno, fields
+        class_id = _number(fields[0], lineno, "class id", int)
+        try:
+            box = NormalizedBox(_number(fields[1], lineno, "cx"),
+                                _number(fields[2], lineno, "cy"),
+                                _number(fields[3], lineno, "w"),
+                                _number(fields[4], lineno, "h"))
+            rows.append(GroundTruthBox(class_id, box) if nfields == 5 else
+                        Detection(class_id, box,
+                                  _number(fields[5], lineno, "confidence")))
+        except BoxRangeError as exc:
+            raise BoxRangeError(f"line {lineno}: {exc}") from exc
+    return rows
 
 
-def _parse_class(token: str, lineno: int) -> int:
+def _number(token: str, lineno: int, what: str, kind=float):
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
+        noun = "an integer" if kind is int else "a number"
         raise AnnotationParseError(
-            f"line {lineno}: class id {token!r} is not an integer") from None
+            f"line {lineno}: {what} {token!r} is not {noun}") from None
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise AnnotationParseError(
-            f"line {lineno}: {what} {token!r} is not a number") from None
-
-
-def _parse_geometry(fields, lineno: int) -> NormalizedBox:
-    cx = _parse_float(fields[0], lineno, "cx")
-    cy = _parse_float(fields[1], lineno, "cy")
-    w = _parse_float(fields[2], lineno, "w")
-    h = _parse_float(fields[3], lineno, "h")
-    try:
-        return NormalizedBox(cx, cy, w, h)
-    except BoxRangeError as exc:
-        raise BoxRangeError(f"line {lineno}: {exc}") from exc
+def _format_lines(rows, confidence: bool) -> str:
+    """The one writer: six decimals per number, each line ends in LF."""
+    return "".join([
+        f"{r.class_id} {r.box.cx:.6f} {r.box.cy:.6f} {r.box.w:.6f} "
+        f"{r.box.h:.6f}" + (f" {r.confidence:.6f}\n" if confidence else "\n")
+        for r in rows])

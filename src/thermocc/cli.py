@@ -34,18 +34,8 @@ from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                     MIXED_SCENARIOS, DatasetSpec, generate_dataset,
                     manifest_records, occupied_count, plan_dataset,
                     write_planned_frame)
-from .util import fork_map, make_dirs, write_text, write_text_atomic
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1, not 2."""
-
-    def error(self, message):
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+from .util import (fork_map, make_dirs, staged_dir, write_text,
+                   write_text_atomic)
 
 
 def _apply_env_seed(args) -> None:
@@ -224,10 +214,14 @@ def cmd_occupancy(args) -> int:
 
 def cmd_pipeline(args) -> int:
     # Every argument is checked, and the split made from the plan, before
-    # the first write, so a bad one leaves no half-written run behind.
+    # the first write. The run fills a staged sibling that is renamed onto
+    # --out after the last write, so a failed run leaves no --out.
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     _check_out_is_empty(args.out)
+    run_dir = os.path.realpath(args.out)  # a symlinked --out keeps its link
+    if run_dir == os.getcwd():  # the final rename would replace it
+        raise ConfigError(f"--out {args.out} is the current directory")
     check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     spec = _dataset_spec(args)
@@ -236,58 +230,56 @@ def cmd_pipeline(args) -> int:
     assignment = stratified_split(records, args.fractions, args.seed)
     if not assignment.test:
         raise ConfigError("the split leaves the test subset empty")
-    dataset_dir = os.path.join(args.out, "dataset")
-    preds_dir = os.path.join(args.out, "preds")
-    plots_dir = os.path.join(args.out, "plots")
+    with staged_dir(run_dir) as work:
+        dataset_dir = os.path.join(work, "dataset")
+        preds_dir = os.path.join(work, "preds")
+        for path in (records[0].frame, records[0].labels):  # named by synth
+            make_dirs(os.path.join(dataset_dir, os.path.dirname(path)))
+        make_dirs(preds_dir)
+        results = fork_map(functools.partial(
+            _pipeline_frame, spec, dataset_dir, preds_dir,
+            frozenset(assignment.test)), plans, args.threads)
+        samples = [results[i] for i in assignment.test]
+        manifest_path = os.path.join(dataset_dir, "manifest.jsonl")
+        write_manifest(manifest_path, records)
+        print(f"dataset: {len(records)} frames under "
+              f"{os.path.join(args.out, 'dataset')}")
 
-    for path in (records[0].frame, records[0].labels):  # named by synth
-        make_dirs(os.path.join(dataset_dir, os.path.dirname(path)))
-    make_dirs(preds_dir)
-    results = fork_map(functools.partial(
-        _pipeline_frame, spec, dataset_dir, preds_dir,
-        frozenset(assignment.test)), plans, args.threads)
-    samples = [results[i] for i in assignment.test]
-    manifest_path = os.path.join(dataset_dir, "manifest.jsonl")
-    write_manifest(manifest_path, records)
-    print(f"dataset: {len(records)} frames under {dataset_dir}")
+        _write_split(records, assignment, manifest_path,
+                     os.path.join(work, "splits"))
+        print(f"detector: {len(samples)} test frames scored")
 
-    _write_split(records, assignment, manifest_path,
-                 os.path.join(args.out, "splits"))
-    print(f"detector: {len(samples)} test frames scored")
+        eval_report = evaluate(samples, operating_tau=args.tau)
+        write_text(os.path.join(work, "report.json"), eval_report.to_json())
+        print(f"eval: precision {eval_report.precision:.3f}  "
+              f"recall {eval_report.recall:.3f}  "
+              f"mAP50 {eval_report.map50:.3f}  "
+              f"mAP50-95 {eval_report.map50_95:.3f}")
 
-    eval_report = evaluate(samples, operating_tau=args.tau)
-    write_text_atomic(os.path.join(args.out, "report.json"),
-                      eval_report.to_json())
-    print(f"eval: precision {eval_report.precision:.3f}  "
-          f"recall {eval_report.recall:.3f}  "
-          f"mAP50 {eval_report.map50:.3f}  "
-          f"mAP50-95 {eval_report.map50_95:.3f}")
+        actual, detected, confusion, schedule = _occupancy(
+            [records[i] for i in assignment.test],
+            [preds for preds, _ in samples], args.tau, policy,
+            os.path.join(work, "occupancy"))
+        print(f"occupancy: recall {confusion.recall:.3f}, "
+              f"missed occupied {confusion.missed_occupied}, "
+              f"hvac on fraction {schedule.on_fraction:.3f}")
 
-    actual, detected, confusion, schedule = _occupancy(
-        [records[i] for i in assignment.test],
-        [preds for preds, _ in samples], args.tau, policy,
-        os.path.join(args.out, "occupancy"))
-    print(f"occupancy: recall {confusion.recall:.3f}, "
-          f"missed occupied {confusion.missed_occupied}, "
-          f"hvac on fraction {schedule.on_fraction:.3f}")
-
-    emit_plots(plots_dir, eval_report.curve, eval_report.map50, actual,
-               detected, schedule)
-    print(f"plots under {plots_dir}")
+        emit_plots(os.path.join(work, "plots"), eval_report.curve,
+                   eval_report.map50, actual, detected, schedule)
+        print(f"plots under {os.path.join(args.out, 'plots')}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="thermocc",
-                     description="Thermal-image occupancy detection pipeline")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    parser = argparse.ArgumentParser(
+        prog="thermocc", description="Thermal-image occupancy detection pipeline")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     # Flags that pipeline shares with a stage's subcommand, declared
     # once with the library's defaults.
-    seed = _Parser(add_help=False)
+    seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=DatasetSpec.seed)
-    scene = _Parser(add_help=False)
+    scene = argparse.ArgumentParser(add_help=False)
     scene.add_argument("--occupied-fraction", type=float,
                        default=DEFAULT_OCCUPIED_FRACTION,
                        help="fraction of frames with an occupant")
@@ -295,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pose/occlusion mix for occupants")
     scene.add_argument("--sigma", type=float, default=DatasetSpec.noise_sigma,
                        help="pixel noise sigma in Celsius")
-    fractions = _Parser(add_help=False)
+    fractions = argparse.ArgumentParser(add_help=False)
     fractions.add_argument("--fractions", type=_parse_fractions,
                            default=DEFAULT_FRACTIONS,
                            help="train,val,test fractions")
-    tau = _Parser(add_help=False)
+    tau = argparse.ArgumentParser(add_help=False)
     tau.add_argument("--tau", type=float, default=DEFAULT_TAU,
                      help="operating confidence threshold")
-    policy = _Parser(add_help=False)
+    policy = argparse.ArgumentParser(add_help=False)
     policy.add_argument("--on-delay", type=float,
                         default=ControlPolicy.on_delay,
                         help="seconds of occupancy before hvac turns on")
@@ -371,11 +363,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         _apply_env_seed(args)
         return args.func(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help
-        return exc.code if isinstance(exc.code, int) else 0
+    except SystemExit as exc:  # argparse has printed a usage error or --help
+        return 1 if exc.code else 0
     except ThermoccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import os
+import shutil
 
 from .errors import DataIOError
 
@@ -63,6 +64,28 @@ def write_text_atomic(path: str, text: str) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+
+
+@contextlib.contextmanager
+def staged_dir(path: str):
+    """write_text_atomic for a directory: yield a new sibling to fill, which
+    is renamed onto path (absent or empty) when the block ends, removed if
+    it raises, and left as `<path>.<pid>.partial` by a killed process."""
+    tmp = f"{path}.{os.getpid()}.partial"
+    make_dirs(os.path.dirname(tmp))
+    try:
+        os.mkdir(tmp)  # a leftover of this name is an error, never reused
+    except OSError as exc:
+        raise DataIOError(f"cannot create directory {tmp}: {exc}") from exc
+    try:
+        yield tmp
+        try:
+            os.rename(tmp, path)
+        except OSError as exc:
+            raise DataIOError(f"cannot rename {tmp} to {path}: {exc}") from exc
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def fork_map(fn, items, workers: int) -> list:

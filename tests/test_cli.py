@@ -213,6 +213,7 @@ def test_pipeline_checks_arguments_before_writing(tmp_path, capsys, bad):
     out = tmp_path / "run"
     assert main(["pipeline", "--frames", "40", "--out", str(out)] + bad) == 1
     assert not out.exists()
+    assert not list(tmp_path.glob("*.partial"))
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     if bad[0] == "--threads":
@@ -237,6 +238,19 @@ def test_killed_synth_worker_fails_the_run(tmp_path):
         text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "worker" in proc.stderr
+    assert not (tmp_path / "run").exists()
+    assert not list(tmp_path.glob("run.*.partial"))
+
+
+def test_late_pipeline_failure_leaves_nothing(tmp_path, capsys):
+    """A run that fails after its first write, here because no frame is
+    occupied and eval has nothing to score, leaves neither --out nor its
+    staged directory."""
+    assert main(["pipeline", "--frames", "50", "--occupied-fraction", "0",
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no ground truths and no predictions to score\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_write_error_reaches_caller(tmp_path, capsys, monkeypatch):
@@ -257,7 +271,8 @@ def test_worker_write_error_reaches_caller(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and "frame_000001.pgm" in err
 
 
-def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys):
+def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
+                                        monkeypatch):
     """A run into an --out that holds anything exits 1 before it writes,
     so it never mixes with the files already there; an empty directory
     is fine."""
@@ -276,6 +291,15 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys):
     blocker.write_text("")
     assert main(["synth", "--frames", "6", "--out", str(blocker)]) == 1
     assert blocker.read_text() == ""
+    # pipeline renames its finished run onto --out, which must not be the
+    # directory it runs in, even an empty one
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert main(["pipeline", "--frames", "40", "--out", "."]) == 1
+    assert "is the current directory" in capsys.readouterr().err
+    assert list(here.iterdir()) == []
+    assert not list(tmp_path.glob("*.partial"))
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

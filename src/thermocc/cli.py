@@ -72,7 +72,10 @@ def _dataset_spec(args, **extra) -> DatasetSpec:
 
 
 def _check_out_is_empty(out: str) -> None:
-    """Refuse an --out that holds anything, so that two runs never mix."""
+    """Refuse an --out that holds anything, so that two runs never mix,
+    and an empty one, which would write into the current directory."""
+    if not out:
+        raise ConfigError("--out must not be empty")
     try:
         used = os.path.lexists(out) and (not os.path.isdir(out)
                                          or bool(os.listdir(out)))

@@ -113,13 +113,13 @@ def nms(dets: list[Detection], iou_thresh: float,
 
 
 def _warm_components(raw: np.ndarray, cut: int
-                     ) -> list[tuple[int, int, int, int, np.ndarray]]:
+                     ) -> tuple[list[tuple[int, int, int, int]], np.ndarray]:
     """4-connected components of `raw >= cut`, found from row runs.
 
-    Returns (y0, y1, x0, x1, counts) per component: its half-open
-    bounding box and its raw counts in raster order. Components come in
-    raster order of their first pixel, and visit_order keeps that order
-    among exact ties.
+    Returns (boxes, ids): the components' half-open boxes (y0, y1, x0,
+    x1) in raster order of their first pixel, which visit_order keeps
+    among exact ties, and an image with ids[y, x] == k + 1 on component
+    k and 0 elsewhere. One component gives the warm mask, as True == 1.
     """
     # A cold column on either side of each row keeps runs from crossing
     # rows, so in the flattened frame warm runs and cold gaps alternate.
@@ -133,7 +133,7 @@ def _warm_components(raw: np.ndarray, cut: int
     flat = padded.ravel()
     edges = (flat[1:] != flat[:-1]).nonzero()[0]
     if edges.size == 0:
-        return []
+        return [], warm
     starts, stops = edges[0::2], edges[1::2]
 
     # Run j touches the runs of the row above that overlap its span
@@ -148,7 +148,7 @@ def _warm_components(raw: np.ndarray, cut: int
             > np.searchsorted(stops, starts[:-1] + stride, side="right")).all():
         y0, y1 = int(starts[0]) // stride, int(stops[-1]) // stride + 1
         x0, x1 = int((starts % stride).min()), int((stops % stride).max())
-        return [(y0, y1, x0, x1, raw[y0:y1, x0:x1][warm[y0:y1, x0:x1]])]
+        return [(y0, y1, x0, x1)], warm
 
     # The same ranges as edges: run lower[e] touches run upper[e]. Each
     # round every run takes the least label at either end of its edges,
@@ -164,21 +164,18 @@ def _warm_components(raw: np.ndarray, cut: int
         np.minimum.at(hooked, upper, label[lower])
         hooked = hooked[hooked]
 
-    # A stable sort by label lays out each component's runs and counts in
-    # raster order, components by first run. Slices cut the counts, as
-    # np.split loops in Python at microseconds a piece.
+    # A stable sort by label lays out each component's runs in raster
+    # order, components by first run; each run's pixels take k + 1.
     order = np.argsort(label, kind="stable")
     bounds = np.searchsorted(label[order], (label == runs).nonzero()[0])
     rows, x0 = np.divmod(starts[order], stride)
     x1 = stops[order] - rows * stride
-    lengths = stops - starts
-    counts = raw[warm][np.argsort(np.repeat(label, lengths), kind="stable")]
-    ends = np.cumsum(np.add.reduceat(lengths[order], bounds)).tolist()
+    ids = np.zeros(padded.shape, dtype=np.intp)
+    ids[padded] = np.repeat(np.cumsum(label == runs)[label], stops - starts)
     return list(zip(np.minimum.reduceat(rows, bounds).tolist(),
                     (np.maximum.reduceat(rows, bounds) + 1).tolist(),
                     np.minimum.reduceat(x0, bounds).tolist(),
-                    np.maximum.reduceat(x1, bounds).tolist(),
-                    map(counts.__getitem__, map(slice, [0] + ends, ends))))
+                    np.maximum.reduceat(x1, bounds).tolist())), ids[:, 1:-1]
 
 
 def detect_blobs(frame: ThermalFrame,
@@ -190,12 +187,10 @@ def detect_blobs(frame: ThermalFrame,
     converted to normalized coordinates; zero-score components are
     dropped, area and aspect first; NMS runs only on two or more boxes.
     """
-    cut = config._raw_cut
-    if cut > PGM_MAXVAL:
-        return []
     frame_area = float(frame.width * frame.height)
     dets = []
-    for y0, y1, x0, x1, counts in _warm_components(frame.temps, cut):
+    boxes, ids = _warm_components(frame.temps, config._raw_cut)
+    for k, (y0, y1, x0, x1) in enumerate(boxes):
         # PixelBox.area()'s floats, as small int products are exact. The
         # config's values are finite, so a zero here zeroes the product.
         area_frac = (x1 - x0) * (y1 - y0) / frame_area
@@ -205,7 +200,8 @@ def detect_blobs(frame: ThermalFrame,
             continue
         # ndarray.mean's sum and division over the same float64 sequence
         # as the Celsius frame masked to the component, so it keeps its bits.
-        temps = celsius_from_raw(counts)
+        temps = celsius_from_raw(
+            frame.temps[y0:y1, x0:x1][ids[y0:y1, x0:x1] == k + 1])
         pixel_box = PixelBox(float(x0), float(y0), float(x1), float(y1))
         conf = score_blob(float(np.add.reduce(temps)) / temps.size,
                           area_frac, aspect, config)

@@ -275,7 +275,7 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
                                         monkeypatch):
     """A run into an --out that holds anything exits 1 before it writes,
     so it never mixes with the files already there; an empty directory
-    is fine."""
+    is fine, an empty --out is not."""
     runs = [["pipeline", "--frames", "40"],
             ["synth", "--frames", "6"],
             ["detect", "--manifest", frontal_dataset]]
@@ -300,6 +300,14 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
     assert "is the current directory" in capsys.readouterr().err
     assert list(here.iterdir()) == []
     assert not list(tmp_path.glob("*.partial"))
+    # os.path.lexists("") is False, yet "" would write into the current
+    # directory
+    (here / "kept.txt").write_text("kept")
+    for argv in runs:
+        assert main(argv + ["--out", ""]) == 1
+        assert "--out must not be empty" in capsys.readouterr().err
+        assert [p.name for p in here.iterdir()] == ["kept.txt"]
+        assert (here / "kept.txt").read_text() == "kept"
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

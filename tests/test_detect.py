@@ -210,14 +210,17 @@ def blob_mask(rng, h, w):
 def labeller_and_flood_fill(mask):
     """The components the run labeller and the flood fill find, as
     (box, member raster indices) in order. They must be equal: the
-    same components, order, boxes and members in raster order."""
+    same components, order, boxes and members in raster order. The
+    labeller's members are the pixels of its box that its component
+    image marks k + 1, as detect_blobs reads them; the image must mark
+    every cold pixel 0."""
     h, w = mask.shape
-    # each warm pixel's count is 1 + its raster index, so the counts the
-    # labeller returns name the member pixels
-    raw = np.where(mask, 1 + np.arange(h * w).reshape(h, w), 0)
-    got = [((x0, y0, x1, y1), (counts.astype(int) - 1).tolist())
-           for y0, y1, x0, x1, counts in
-           _warm_components(raw.astype(np.uint16), 1)]
+    index = np.arange(h * w).reshape(h, w)
+    boxes, ids = _warm_components(mask.astype(np.uint16), 1)
+    assert ((ids != 0) == mask).all()
+    got = [((x0, y0, x1, y1),
+            index[y0:y1, x0:x1][ids[y0:y1, x0:x1] == k + 1].tolist())
+           for k, (y0, y1, x0, x1) in enumerate(boxes)]
     want = [(box, [r * w + c for r, c in members])
             for box, members in flood_fill_components(mask.tolist())]
     return got, want
@@ -371,10 +374,10 @@ def test_dense_frame_matches_oracle(pattern):
     else:
         mask = np.random.default_rng(3).random((96, 128)) < 0.5
     frame = frame_from_celsius(np.where(mask, 34.0, 22.0))
-    components = _warm_components(frame.temps, DEFAULT_CONFIG._raw_cut)
-    assert [(x0, y0, x1, y1) for y0, y1, x0, x1, _ in components] == \
+    boxes, _ = _warm_components(frame.temps, DEFAULT_CONFIG._raw_cut)
+    assert [(x0, y0, x1, y1) for y0, y1, x0, x1 in boxes] == \
         [box for box, _ in flood_fill_components(mask.tolist())]
-    assert len(components) > 500
+    assert len(boxes) > 500
     assert detect_blobs(frame) == oracle_detect(frame, DEFAULT_CONFIG)
 
 
@@ -410,12 +413,16 @@ def test_geometry_skip_at_the_trapezoid_knots(score):
 def test_zero_geometry_components_convert_no_temperatures(monkeypatch):
     """On the checkerboard every component is one pixel, whose area
     score is zero, so no count is converted to Celsius; a frame with one
-    scoring blob converts that blob's counts once."""
+    scoring blob converts that blob's counts once, whether it takes a
+    one-blob exit or, with one-pixel specks above and below the blob,
+    the labeller."""
     yy, xx = np.indices((96, 128))
     checker = frame_from_celsius(np.where((yy + xx) % 2 == 0, 34.0, 22.0))
     temps = np.full((96, 128), 22.0)
     temps[36:60, 54:74] = 34.0
     one_blob = frame_from_celsius(temps)
+    temps[[5, 5, 90], [5, 120, 10]] = 34.0
+    specks = frame_from_celsius(temps)
     DEFAULT_CONFIG._raw_cut  # computed here, not under the spy
     sizes = []
 
@@ -427,6 +434,13 @@ def test_zero_geometry_components_convert_no_temperatures(monkeypatch):
     assert detect_blobs(checker) == []
     assert sizes == []
     assert len(detect_blobs(one_blob)) == 1
+    assert sizes == [20 * 24]
+    with monkeypatch.context() as m:
+        m.setattr("thermocc.detect.np", NumpyWithoutArgsort())
+        with pytest.raises(AssertionError, match="entered the labeller"):
+            detect_blobs(specks)
+    sizes.clear()
+    assert len(detect_blobs(specks)) == 1
     assert sizes == [20 * 24]
 
 

@@ -71,9 +71,9 @@ def _dataset_spec(args, **extra) -> DatasetSpec:
                        noise_sigma=args.sigma, **extra)
 
 
-def _check_out_is_empty(out: str) -> None:
-    """Refuse an --out that holds anything, so that two runs never mix,
-    and an empty one, which would write into the current directory."""
+def _staged_out(out: str):
+    """The one way synth, detect and pipeline make --out. Refuses an empty,
+    used or current-directory --out, then returns util.staged_dir for it."""
     if not out:
         raise ConfigError("--out must not be empty")
     try:
@@ -83,6 +83,10 @@ def _check_out_is_empty(out: str) -> None:
         raise ConfigError(f"cannot inspect --out {out}: {exc}") from exc
     if used:
         raise ConfigError(f"--out {out} exists and is not an empty directory")
+    run_dir = os.path.realpath(out)  # a symlinked --out keeps its link
+    if run_dir == os.getcwd():
+        raise ConfigError(f"--out {out} is the current directory")
+    return staged_dir(run_dir)
 
 
 def _write_split(records, assignment, manifest_path: str, out_dir: str):
@@ -149,8 +153,8 @@ def _occupancy(records, predictions, tau: float, policy: ControlPolicy,
 def cmd_synth(args) -> int:
     spec = _dataset_spec(args, background_temp=args.background,
                          start_ts=args.start_ts, period=args.period)
-    _check_out_is_empty(args.out)
-    generate_dataset(spec, args.out)
+    with _staged_out(args.out) as work:
+        generate_dataset(spec, work)
     occupied = occupied_count(spec.frames, spec.occupied_fraction)
     print(f"wrote {spec.frames} frames ({occupied} occupied, "
           f"{spec.frames - occupied} empty) under {args.out}")
@@ -173,12 +177,11 @@ def cmd_detect(args) -> int:
     records = read_manifest(args.manifest)
     config = DetectorConfig(warm_threshold=args.warm_threshold,
                             nms_iou=args.nms_iou)
-    _check_out_is_empty(args.out)
     names = prediction_filenames(records)
-    detections = detect_manifest(records, args.manifest, config)
-    make_dirs(args.out)
-    for name, dets in zip(names, detections):
-        write_text(os.path.join(args.out, name), serialize_predictions(dets))
+    with _staged_out(args.out) as work:
+        detections = detect_manifest(records, args.manifest, config)
+        for name, dets in zip(names, detections):
+            write_text(os.path.join(work, name), serialize_predictions(dets))
     print(f"wrote predictions for {len(records)} frames under {args.out}")
     return 0
 
@@ -216,15 +219,10 @@ def cmd_occupancy(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # Every argument is checked, and the split made from the plan, before
-    # the first write. The run fills a staged sibling that is renamed onto
-    # --out after the last write, so a failed run leaves no --out.
+    # Every argument is checked, and the split made, before --out is staged.
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    _check_out_is_empty(args.out)
-    run_dir = os.path.realpath(args.out)  # a symlinked --out keeps its link
-    if run_dir == os.getcwd():  # the final rename would replace it
-        raise ConfigError(f"--out {args.out} is the current directory")
+    stage = _staged_out(args.out)
     check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     spec = _dataset_spec(args)
@@ -233,7 +231,7 @@ def cmd_pipeline(args) -> int:
     assignment = stratified_split(records, args.fractions, args.seed)
     if not assignment.test:
         raise ConfigError("the split leaves the test subset empty")
-    with staged_dir(run_dir) as work:
+    with stage as work:
         dataset_dir = os.path.join(work, "dataset")
         preds_dir = os.path.join(work, "preds")
         for path in (records[0].frame, records[0].labels):  # named by synth

@@ -89,14 +89,16 @@ def staged_dir(path: str):
 
 
 def fork_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], in order; with workers > 1, each of that
-    many forked processes maps one contiguous share (fn, items and results
-    must pickle). fork skips the package import spawn repeats per worker,
-    but copies only the calling thread; the executor forks all its workers
-    before it starts its manager thread and thermocc starts no threads, so
-    only a caller's threads could hold a lock the workers need. Without
-    fork, items are mapped here. A worker that dies raises DataIOError."""
-    workers = min(workers, len(items))
+    """[fn(x) for x in items], in order; with workers > 1, capped at the
+    CPUs this process may run on, each of that many forked processes maps
+    one contiguous share (fn, items and results must pickle). fork skips
+    the package import spawn repeats per worker, but copies only the
+    calling thread; the executor forks all its workers before it starts
+    its manager thread and thermocc starts no threads, so only a caller's
+    threads could hold a lock the workers need. Without fork, items are
+    mapped here. A worker that dies raises DataIOError."""
+    workers = min(workers, len(items), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     import multiprocessing  # here, so importing the package stays light
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]

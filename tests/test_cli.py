@@ -7,7 +7,7 @@ import pytest
 
 import thermocc
 from thermocc.cli import main
-from thermocc.errors import FrameIOError
+from thermocc.errors import DataIOError, FrameIOError
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import DatasetSpec, generate_dataset, occupied_count
 
@@ -291,14 +291,15 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
     blocker.write_text("")
     assert main(["synth", "--frames", "6", "--out", str(blocker)]) == 1
     assert blocker.read_text() == ""
-    # pipeline renames its finished run onto --out, which must not be the
-    # directory it runs in, even an empty one
+    # each run renames its finished --out into place, which must not be
+    # the directory it runs in, even an empty one
     here = tmp_path / "here"
     here.mkdir()
     monkeypatch.chdir(here)
-    assert main(["pipeline", "--frames", "40", "--out", "."]) == 1
-    assert "is the current directory" in capsys.readouterr().err
-    assert list(here.iterdir()) == []
+    for argv in runs:
+        assert main(argv + ["--out", "."]) == 1
+        assert "is the current directory" in capsys.readouterr().err
+        assert list(here.iterdir()) == []
     assert not list(tmp_path.glob("*.partial"))
     # os.path.lexists("") is False, yet "" would write into the current
     # directory
@@ -308,6 +309,72 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
         assert "--out must not be empty" in capsys.readouterr().err
         assert [p.name for p in here.iterdir()] == ["kept.txt"]
         assert (here / "kept.txt").read_text() == "kept"
+
+
+def test_failed_detect_leaves_no_out(tmp_path, frontal_dataset, capsys,
+                                     monkeypatch):
+    """A detect that fails at its 4th prediction file leaves no --out, so
+    eval cannot score the first three as a run that missed the rest."""
+    write_text, written = thermocc.cli.write_text, []
+
+    def full_disk_at_4th(path, text):
+        written.append(path)
+        if len(written) == 4:
+            raise DataIOError(f"cannot write {path}: disk full")
+        write_text(path, text)
+
+    monkeypatch.setattr(thermocc.cli, "write_text", full_disk_at_4th)
+    preds = tmp_path / "preds"
+    assert main(["detect", "--manifest", frontal_dataset,
+                 "--out", str(preds)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not preds.exists() and not list(tmp_path.glob("*.partial"))
+    assert main(["eval", "--manifest", frontal_dataset,
+                 "--preds", str(preds)]) == 1
+    assert (f"predictions directory {preds} is missing"
+            in capsys.readouterr().err)
+
+
+def test_detect_refuses_duplicate_stems_before_it_detects(
+        tmp_path, frontal_dataset, capsys, monkeypatch):
+    """Duplicate frame stems are a ConfigError before any frame is read,
+    so an unreadable frame in the same manifest is not what is reported,
+    and no --out is made."""
+    lines = open(frontal_dataset).read().splitlines()
+    missing = dict(json.loads(lines[1]), frame="frames/absent.pgm")
+    manifest = tmp_path / "data" / "dup.jsonl"
+    manifest.write_text("\n".join([json.dumps(missing)] + lines[:1] * 2)
+                        + "\n")
+    calls = []
+    monkeypatch.setattr(thermocc.cli, "detect_manifest",
+                        lambda *a: calls.append(a) or iter(()))
+    preds = tmp_path / "preds"
+    assert main(["detect", "--manifest", str(manifest),
+                 "--out", str(preds)]) == 1
+    assert ("manifest contains duplicate frame stems"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not preds.exists() and not list(tmp_path.glob("*.partial"))
+
+
+def test_failed_synth_leaves_no_out(tmp_path, capsys, monkeypatch):
+    """A synth that fails at its 10th frame leaves no --out, and so
+    nothing that blocks the rerun."""
+    write_frame = thermocc.synth.write_frame
+
+    def full_disk_at_frame_9(path, frame):
+        if os.path.basename(path) == "frame_000009.pgm":
+            raise FrameIOError(f"cannot write frame {path}: disk full")
+        write_frame(path, frame)
+
+    monkeypatch.setattr(thermocc.synth, "write_frame", full_disk_at_frame_9)
+    argv = ["synth", "--frames", "20", "--out", str(tmp_path / "ds")]
+    assert main(argv) == 1
+    assert "frame_000009.pgm" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert len(read_manifest(str(tmp_path / "ds" / "manifest.jsonl"))) == 20
 
 
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):

@@ -164,9 +164,10 @@ def _warm_components(raw: np.ndarray, cut: int
         np.minimum.at(hooked, upper, label[lower])
         hooked = hooked[hooked]
 
-    # A stable sort by label lays out each component's runs in raster
-    # order, components by first run; each run's pixels take k + 1.
-    order = np.argsort(label, kind="stable")
+    # Sorting by label groups each component's runs, components by first
+    # run; only min and max read a group, so its order is free. Each run's
+    # pixels take k + 1.
+    order = np.argsort(label)
     bounds = np.searchsorted(label[order], (label == runs).nonzero()[0])
     rows, x0 = np.divmod(starts[order], stride)
     x1 = stops[order] - rows * stride

@@ -28,6 +28,9 @@ MAP_THRESHOLDS = tuple((50 + 5 * k) / 100 for k in range(10))
 # Confidence a detection needs to count at the operating point.
 DEFAULT_TAU = 0.9
 
+# _sweep matches images in blocks of about this many boxes.
+_BLOCK_BOXES = 2048
+
 
 def check_tau(tau: float) -> None:
     """Reject a confidence threshold outside [0, 1], NaN included."""
@@ -37,17 +40,12 @@ def check_tau(tau: float) -> None:
 
 def iou(a: PixelBox, b: PixelBox) -> float:
     """Intersection over union of two pixel boxes."""
-    ix0 = max(a.x0, b.x0)
-    iy0 = max(a.y0, b.y0)
-    ix1 = min(a.x1, b.x1)
-    iy1 = min(a.y1, b.y1)
-    iw = ix1 - ix0
-    ih = iy1 - iy0
+    iw = min(a.x1, b.x1) - max(a.x0, b.x0)
+    ih = min(a.y1, b.y1) - max(a.y0, b.y0)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area() + b.area() - inter
-    return inter / union
+    return inter / (a.area() + b.area() - inter)
 
 
 def visit_order(dets: list[Detection], boxes: list[PixelBox]) -> list[int]:
@@ -72,33 +70,60 @@ class MatchResult:
     fn: int
 
 
-def _match_image(preds: list[Detection], gts: list[GroundTruthBox],
-                 thresholds, width: int, height: int):
-    """Match one image at each IoU threshold: boxes are converted, ranked
-    and overlapped once, and only the greedy scan reruns per threshold.
-    Returns (order, matches): order is visit_order, and matches[k][pos]
-    the gt index prediction order[pos] took at thresholds[k], or None.
-    """
-    pboxes = [to_pixel_box(d.box, width, height) for d in preds]
-    gboxes = [to_pixel_box(g.box, width, height) for g in gts]
-    order = visit_order(preds, pboxes)
-    rows = [[iou(pboxes[i], gb) for gb in gboxes] for i in order]
-    matches = []
-    for thresh in thresholds:
-        taken = [False] * len(gts)
-        found = []
-        for row in rows:
-            best_j, best = None, 0.0
-            for j, v in enumerate(row):
-                if v > best and not taken[j]:
-                    best_j, best = j, v
-            if best_j is not None and best >= thresh:
-                taken[best_j] = True
-            else:
-                best_j = None
-            found.append(best_j)
-        matches.append(found)
-    return order, matches
+def _corners(boxes, width: int, height: int) -> np.ndarray:
+    """(x0, y0, x1, y1) rows of normalized boxes, with to_pixel_box's
+    float operations; a box it would reject raises its error."""
+    b = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes]).reshape(-1, 4)
+    grid, half = np.array([width, height] * 2, dtype=float), b[:, 2:] / 2.0
+    c = np.clip(np.hstack([b[:, :2] - half, b[:, :2] + half]) * grid, 0.0, grid)
+    ok = (c[:, 2:] > c[:, :2]).all(axis=1)
+    if not ok.all():
+        to_pixel_box(boxes[int(ok.argmin())], width, height)  # raises
+    return c
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """iou(a[k], b[k]) for each row k of two corner arrays, with iou's
+    float operations; boxes that do not overlap give 0.0."""
+    wh = np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])
+    inter = np.maximum(wh[:, 0], 0.0) * np.maximum(wh[:, 1], 0.0)
+    ea, eb = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
+    return inter / (ea[:, 0] * ea[:, 1] + eb[:, 0] * eb[:, 1] - inter)
+
+
+def _match_block(block, rungs: np.ndarray, width: int, height: int):
+    """Greedily match a block of (preds, gts) images at each rung of
+    rungs, an (r, 1) array, scanning the p-th prediction of every image
+    at step p. Returns each image's prediction indices in visit_order,
+    image after image; their confidences; and found[k, i], the gt index
+    that prediction i of that order took at rungs[k], or -1."""
+    npred, ngt = np.array([(len(preds), len(gts)) for preds, gts in block],
+                          dtype=np.intp).reshape(-1, 2).T
+    preds = [d for ds, _ in block for d in ds]
+    pc = _corners([d.box for d in preds], width, height)
+    gc = _corners([g.box for _, gts in block for g in gts], width, height)
+    conf = np.array([d.confidence for d in preds], dtype=np.float64)
+    order = np.lexsort((pc[:, 0], pc[:, 1], -conf,
+                        np.repeat(np.arange(len(block)), npred)))
+    pc, pstart, gstart = pc[order], npred.cumsum() - npred, ngt.cumsum() - ngt
+    taken = np.zeros((len(rungs), len(gc)), dtype=bool)
+    found = np.full((len(rungs), len(pc)), -1, dtype=np.intp)
+    for p in range(int(npred[ngt > 0].max(initial=0))):
+        act = ((npred > p) & (ngt > 0)).nonzero()[0]
+        seg = ngt[act]  # image act[a]'s pairs start at starts[a]
+        starts = seg.cumsum() - seg
+        span = np.arange(starts[-1] + seg[-1])
+        cols, rows = span + np.repeat(gstart[act] - starts, seg), pstart[act] + p
+        vals = np.where(taken[:, cols], 0.0,
+                        _overlaps(np.repeat(pc[rows], seg, axis=0), gc[cols]))
+        best = np.maximum.reduceat(vals, starts, axis=1)
+        ties = vals == np.repeat(best, seg, axis=1)
+        g = cols[np.minimum.reduceat(np.where(ties, span, span.size), starts,
+                                     axis=1)]
+        hit = (best > 0.0) & (best >= rungs)
+        taken[hit.nonzero()[0], g[hit]] = True
+        found[:, rows] = np.where(hit, g - gstart[act], -1)
+    return order - np.repeat(pstart, npred), conf[order], found
 
 
 def match_detections(preds: list[Detection], gts: list[GroundTruthBox],
@@ -112,9 +137,11 @@ def match_detections(preds: list[Detection], gts: list[GroundTruthBox],
     lowest gt index, and counts as a true positive when that IoU reaches
     iou_thresh. Each ground truth is consumed at most once.
     """
-    order, (found,) = _match_image(preds, gts, (iou_thresh,), width, height)
-    tp = sum(j is not None for j in found)
-    return MatchResult(tuple(zip(order, found)), tp,
+    order, _, (found,) = _match_block([(preds, gts)], np.array([[iou_thresh]]),
+                                      width, height)
+    found = [j if j >= 0 else None for j in found.tolist()]
+    tp = len(found) - found.count(None)
+    return MatchResult(tuple(zip(order.tolist(), found)), tp,
                        len(preds) - tp, len(gts) - tp)
 
 
@@ -148,21 +175,23 @@ def _sweep(samples, thresholds, width: int, height: int):
     each threshold, and, in rank order, the confidences and the running
     TP count at thresholds[0].
     """
-    conf = []
-    hits = [bytearray() for _ in thresholds]
-    total_gts = 0
-    for preds, gts in samples:
-        total_gts += len(gts)
-        order, matches = _match_image(preds, gts, thresholds, width, height)
-        conf += [preds[i].confidence for i in order]
-        for flags, found in zip(hits, matches):
-            flags.extend(j is not None for j in found)
-    conf = np.array(conf, dtype=np.float64)
+    rungs = np.array(thresholds, dtype=np.float64)[:, None]
+    samples = list(samples)
+    total_gts = sum(len(gts) for _, gts in samples)
+    at = np.cumsum([0] + [len(preds) for preds, _ in samples])
+    conf, hits = np.empty(at[-1]), np.empty((len(rungs), at[-1]), dtype=bool)
+    # A block ends where an image starts a new window of _BLOCK_BOXES
+    # boxes, so it holds fewer boxes than that plus its last image's.
+    first = np.cumsum([0] + [len(p) + len(g) for p, g in samples])[:-1]
+    cuts = (np.diff(first // _BLOCK_BOXES).nonzero()[0] + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(samples)]):
+        _, conf[at[lo]:at[hi]], found = _match_block(samples[lo:hi], rungs,
+                                                     width, height)
+        hits[:, at[lo]:at[hi]] = found >= 0
     rank = np.argsort(-conf, kind="stable")  # ties keep image, visit order
 
     def rates(flags):  # running TP count, recall and precision
-        cum_tp = np.cumsum(np.frombuffer(flags, dtype=np.uint8)[rank],
-                           dtype=np.int64)
+        cum_tp = np.cumsum(flags[rank], dtype=np.int64)
         recall = cum_tp / total_gts if total_gts > 0 else np.ones(len(rank))
         return cum_tp, recall, cum_tp / np.arange(1, len(rank) + 1)
 

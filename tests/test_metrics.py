@@ -1,12 +1,14 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from thermocc.annot import (Detection, GroundTruthBox, NormalizedBox,
                             PixelBox, serialize_labels,
                             serialize_predictions, to_pixel_box)
-from thermocc.errors import ConfigError
+from thermocc import metrics
+from thermocc.errors import ConfigError, DegenerateBoxError
 from thermocc.manifest import ManifestRecord, write_manifest
 from thermocc.metrics import (MAP_THRESHOLDS, average_precision, evaluate,
                               iou, load_samples, map_range, match_detections,
@@ -109,6 +111,90 @@ def test_match_greedy_consumes_best_first():
     ref = oracle_match([p_hi, p_lo], [box_a, box_b], 0.5, GRID, GRID)
     assert (ref.tp, ref.fp, ref.fn) == (1, 1, 1)
     assert ref.assignments == result.assignments
+
+
+def test_match_ties_go_to_the_first_gt():
+    """The first prediction overlaps both gts at 2/3 and takes gt 0, the
+    lower index; the second, a copy of gt 0, is left with gt 1 at 3/7."""
+    g0, g1 = gt(0, 0, 10, 10), gt(4, 0, 14, 10)
+    p1, p2 = det(2, 0, 12, 10, 0.9), det(0, 0, 10, 10, 0.8)
+    assert iou(pb(p1.box), pb(g0.box)) == iou(pb(p1.box), pb(g1.box))
+    assert iou(pb(p2.box), pb(g1.box)) == pytest.approx(3 / 7)
+    result = match_detections([p1, p2], [g0, g1], 0.5, GRID, GRID)
+    assert result.assignments == ((0, 0), (1, None))
+    assert result == oracle_match([p1, p2], [g0, g1], 0.5, GRID, GRID)
+    assert map_range([([p1, p2], [g0, g1])], GRID, GRID)[0] == 51 / 101
+
+
+def test_match_rejects_boxes_as_to_pixel_box_does():
+    """A box too thin for the grid fails with to_pixel_box's error,
+    whichever image and side of the sweep it sits in."""
+    thin = NormalizedBox(0.5, 0.5, 1e-17, 0.5)
+    with pytest.raises(DegenerateBoxError) as want:
+        to_pixel_box(thin, 128, 96)
+    good = ([det(2, 2, 8, 8, 0.9)], [gt(2, 2, 8, 8)])
+    for bad in (([Detection(0, thin, 0.5)], []), ([], [GroundTruthBox(0, thin)])):
+        with pytest.raises(DegenerateBoxError) as got:
+            evaluate([good, bad])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DegenerateBoxError):
+            match_detections(*bad)
+    with pytest.raises(ValueError, match="at least 1x1"):
+        match_detections(*good, 0.5, 0, 96)
+    assert match_detections([], [], 0.5, 0, 96).assignments == ()
+
+
+def test_sweep_blocks_match_each_image_alone(monkeypatch):
+    """One image of 1000 predictions and 1000 gts among 500 small ones.
+    Wherever the block edges fall, every image's hits at every rung equal
+    match_detections on that image alone, and the sweep's memory is set
+    by the block cap, not by the big image's 10^6 pairs."""
+    rng = random.Random(23)
+
+    def image(npred, ngt):
+        return ([Detection(0, rand_box(rng), round(rng.uniform(0, 1), 2))
+                 for _ in range(npred)],
+                [GroundTruthBox(0, rand_box(rng)) for _ in range(ngt)])
+
+    samples = ([image(rng.randint(0, 6), rng.randint(0, 4))
+                for _ in range(250)] + [image(1000, 1000)]
+               + [image(rng.randint(0, 6), rng.randint(0, 4))
+                  for _ in range(250)])
+    tracemalloc.start()
+    try:
+        metrics._sweep(samples, MAP_THRESHOLDS, 128, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block holds fewer than _BLOCK_BOXES boxes plus its last image's
+    # 2000. Its arrays at ten rungs, with the sweep's per-prediction
+    # output, stay within 400 bytes a box; the big image's IoUs alone
+    # would take 8 MB.
+    assert peak < 400 * (metrics._BLOCK_BOXES + 2000)
+
+    blocks = []
+    match_block = metrics._match_block
+
+    def spy(block, rungs, width, height):
+        result = match_block(block, rungs, width, height)
+        blocks.append((block, result))
+        return result
+
+    monkeypatch.setattr(metrics, "_match_block", spy)
+    metrics._sweep(samples, MAP_THRESHOLDS, 128, 96)
+    monkeypatch.undo()
+    assert len(blocks) >= 3
+    assert [s for block, _ in blocks for s in block] == samples
+    for block, (order, _, found) in blocks:
+        at = 0
+        for preds, gts in block:
+            for k, rung in enumerate(MAP_THRESHOLDS):
+                alone = match_detections(preds, gts, rung)
+                got = tuple(zip(order[at:at + len(preds)].tolist(),
+                                [None if j < 0 else j for j in
+                                 found[k, at:at + len(preds)].tolist()]))
+                assert got == alone.assignments
+            at += len(preds)
 
 
 def test_match_agrees_with_oracle_random():

@@ -1,5 +1,6 @@
 """Property tests: the parsers of outside input fail only with ThermoccError,
-and the frame parser reads every header its grammar allows.
+the frame parser reads every header its grammar allows, and the metrics'
+batch box geometry gives the bits of the scalar rules it stands for.
 
 Any exception other than a ThermoccError would reach the CLI as exit
 code 2, which is reserved for bugs. The runs are derandomized and keep
@@ -8,13 +9,18 @@ no example database, so the suite does the same work on every run.
 
 import json
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermocc.annot import parse_labels, parse_predictions
-from thermocc.errors import ThermoccError
+from thermocc.annot import (Detection, NormalizedBox, parse_labels,
+                            parse_predictions, to_pixel_box)
+from thermocc.errors import DegenerateBoxError, ThermoccError
 from thermocc.frame import ThermalFrame, decode_frame
 from thermocc.manifest import read_manifest
+from thermocc.metrics import (_corners, _match_block, _overlaps, iou,
+                              visit_order)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150,
                     deadline=None)
@@ -148,3 +154,74 @@ def test_read_manifest_raises_only_thermocc_errors(tmp_path_factory, data):
         read_manifest(str(path))
     except ThermoccError:
         pass
+
+
+# --- batch box geometry ------------------------------------------------------
+
+# Centers and sizes mostly from a few values, so that boxes clamp at either
+# edge, repeat, share edges and tie on y0 or x0; the rest drawn freely.
+_CENTER = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                    st.floats(0.0, 1.0))
+_SIZE = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(1e-3, 1.0))
+_BOX = st.builds(NormalizedBox, _CENTER, _CENTER, _SIZE, _SIZE)
+_GRID = st.sampled_from([(128, 96), (20, 20), (7, 3)])
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@given(st.lists(_BOX, max_size=8), _GRID)
+@SETTINGS
+def test_batch_corners_equal_to_pixel_box(boxes, grid):
+    corners = _corners(boxes, *grid)
+    assert corners.shape == (len(boxes), 4)
+    for box, row in zip(boxes, corners):
+        p = to_pixel_box(box, *grid)
+        assert _hexes(row) == _hexes((p.x0, p.y0, p.x1, p.y1))
+
+
+@given(st.lists(st.tuples(_BOX, _BOX), min_size=1, max_size=8), _GRID)
+@SETTINGS
+def test_batch_iou_equals_iou(pairs, grid):
+    got = _overlaps(_corners([a for a, _ in pairs], *grid),
+                    _corners([b for _, b in pairs], *grid))
+    assert _hexes(got) == _hexes(iou(to_pixel_box(a, *grid),
+                                     to_pixel_box(b, *grid))
+                                 for a, b in pairs)
+
+
+@given(st.lists(st.lists(st.tuples(_BOX, st.sampled_from([0.0, 0.5, 1.0])),
+                         max_size=6), max_size=4), _GRID)
+@SETTINGS
+def test_batch_order_equals_visit_order(images, grid):
+    """Several images in one block, confidences from three values."""
+    block = [([Detection(0, box, c) for box, c in image], [])
+             for image in images]
+    order, conf, found = _match_block(block, np.array([[0.5]]), *grid)
+    want, want_conf = [], []
+    for preds, _ in block:
+        ranked = visit_order(preds, [to_pixel_box(d.box, *grid)
+                                     for d in preds])
+        want += ranked
+        want_conf += [preds[i].confidence for i in ranked]
+    assert order.tolist() == want
+    assert _hexes(conf) == _hexes(want_conf)
+    assert (found == -1).all()
+
+
+@given(_CENTER, _CENTER, st.floats(5e-324, 1e-15), _GRID)
+@SETTINGS
+def test_batch_corners_reject_what_to_pixel_box_rejects(cx, cy, thin, grid):
+    """A width that vanishes in rounding collapses the box, unless it
+    sits at an edge where the clamp keeps it open."""
+    box = NormalizedBox(cx, cy, thin, 0.5)
+    try:
+        p = to_pixel_box(box, *grid)
+    except DegenerateBoxError as exc:
+        with pytest.raises(DegenerateBoxError) as got:
+            _corners([NormalizedBox(0.5, 0.5, 0.5, 0.5), box], *grid)
+        assert str(got.value) == str(exc)
+    else:
+        assert _hexes(_corners([box], *grid)[0]) == _hexes(
+            (p.x0, p.y0, p.x1, p.y1))

@@ -1,10 +1,10 @@
 """Brute-force references that the tests compare the package against.
 
 They live with the tests, not the package, and share no helper with
-the code they check. The matcher recomputes box scaling, overlap and
-the greedy assignment with plain Python floats; the PR sweep re-matches
-an image through it after every rank; the labeller finds connected
-components by flood fill, pixel by pixel.
+the code they check. The matcher and NMS recompute box scaling,
+overlap, ranking and their greedy passes with plain Python floats; the
+PR sweep re-matches an image through the matcher after every rank; the
+labeller finds connected components by flood fill, pixel by pixel.
 """
 
 from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
@@ -25,6 +25,37 @@ def corners(box: NormalizedBox, width: int,
     return x0, y0, x1, y1
 
 
+def overlap(a, b) -> float:
+    """IoU of two (x0, y0, x1, y1) corner tuples; 0.0 when disjoint."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def ranking(dets: list[Detection], cs) -> list[int]:
+    """Indices of dets by descending confidence, then pixel y0, x0 and
+    index; cs[i] holds the corners of dets[i]."""
+    return sorted(range(len(dets)),
+                  key=lambda i: (-dets[i].confidence, cs[i][1], cs[i][0]))
+
+
+def oracle_nms(dets: list[Detection], iou_thresh: float, width: int,
+               height: int) -> list[Detection]:
+    """Brute-force greedy NMS: visit dets in ranking order and keep each
+    one whose overlap with every box kept before stays below iou_thresh."""
+    cs = [corners(d.box, width, height) for d in dets]
+    kept = []
+    for i in ranking(dets, cs):
+        if all(overlap(cs[i], cs[j]) < iou_thresh for j in kept):
+            kept.append(i)
+    return [dets[i] for i in kept]
+
+
 def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
                  iou_thresh: float = 0.5, width: int = 128,
                  height: int = 96) -> MatchResult:
@@ -40,20 +71,9 @@ def oracle_match(preds: list[Detection], gts: list[GroundTruthBox],
     if len(gts) > 5:
         raise OracleScaleError(f"at most 5 ground truths, got {len(gts)}")
 
-    def overlap(a, b) -> float:
-        iw = min(a[2], b[2]) - max(a[0], b[0])
-        ih = min(a[3], b[3]) - max(a[1], b[1])
-        if iw <= 0.0 or ih <= 0.0:
-            return 0.0
-        inter = iw * ih
-        area_a = (a[2] - a[0]) * (a[3] - a[1])
-        area_b = (b[2] - b[0]) * (b[3] - b[1])
-        return inter / (area_a + area_b - inter)
-
     pcs = [corners(d.box, width, height) for d in preds]
     gcs = [corners(g.box, width, height) for g in gts]
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i].confidence, pcs[i][1], pcs[i][0]))
+    order = ranking(preds, pcs)
     taken = [False] * len(gts)
     assignments = []
     tp = 0

@@ -23,7 +23,7 @@ from thermocc.manifest import (ManifestRecord, prediction_filenames,
 from thermocc.synth import (DatasetSpec, FRONTAL_SCENARIOS, generate_dataset,
                             plan_dataset, render_frame)
 
-from oracle import flood_fill_components
+from oracle import flood_fill_components, oracle_nms
 
 
 def frame_from_celsius(temps, ts=0):
@@ -332,9 +332,9 @@ def test_u_shaped_frame_takes_the_one_blob_exit(monkeypatch):
 
 
 def oracle_detect(frame, config):
-    """detect_blobs rebuilt on the flood-fill labeller and the Celsius
-    mask: each component's mean is taken over its pixels in raster
-    order, as the detector's contract requires."""
+    """detect_blobs rebuilt on the flood-fill labeller, the Celsius mask
+    and the brute-force NMS: each component's mean is taken over its
+    pixels in raster order, as the detector's contract requires."""
     temps = frame.temps_celsius()
     mask = temps >= config.warm_threshold
     dets = []
@@ -347,7 +347,7 @@ def oracle_detect(frame, config):
         if conf > 0.0:
             dets.append(Detection(0, from_pixel_box(box, frame.width,
                                                     frame.height), conf))
-    return nms(dets, config.nms_iou, frame.width, frame.height)
+    return oracle_nms(dets, config.nms_iou, frame.width, frame.height)
 
 
 def test_detect_matches_oracle_on_varied_temperatures():

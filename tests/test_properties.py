@@ -1,6 +1,7 @@
 """Property tests: the parsers of outside input fail only with ThermoccError,
-the frame parser reads every header its grammar allows, and the metrics'
-batch box geometry gives the bits of the scalar rules it stands for.
+the frame parser reads every header its grammar allows, the metrics'
+batch box geometry gives the bits of the scalar rules it stands for, and
+NMS keeps what the brute-force oracle keeps.
 
 Any exception other than a ThermoccError would reach the CLI as exit
 code 2, which is reserved for bugs. The runs are derandomized and keep
@@ -19,8 +20,10 @@ from thermocc.annot import (Detection, NormalizedBox, parse_labels,
 from thermocc.errors import DegenerateBoxError, ThermoccError
 from thermocc.frame import ThermalFrame, decode_frame
 from thermocc.manifest import read_manifest
-from thermocc.metrics import (_corners, _match_block, _overlaps, iou,
-                              visit_order)
+from thermocc.detect import nms
+from thermocc.metrics import _corners, _match_block, _overlaps, iou
+
+from oracle import corners, oracle_nms, ranking
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150,
                     deadline=None)
@@ -201,13 +204,30 @@ def test_batch_order_equals_visit_order(images, grid):
     order, conf, found = _match_block(block, np.array([[0.5]]), *grid)
     want, want_conf = [], []
     for preds, _ in block:
-        ranked = visit_order(preds, [to_pixel_box(d.box, *grid)
-                                     for d in preds])
+        ranked = ranking(preds, [corners(d.box, *grid) for d in preds])
         want += ranked
         want_conf += [preds[i].confidence for i in ranked]
     assert order.tolist() == want
     assert _hexes(conf) == _hexes(want_conf)
     assert (found == -1).all()
+
+
+@st.composite
+def nms_inputs(draw):
+    """Detections with confidences from three values, some repeated
+    exactly, in any order."""
+    dets = draw(st.lists(st.builds(Detection, st.just(0), _BOX,
+                                   st.sampled_from([0.25, 0.5, 1.0])),
+                         max_size=10))
+    if dets:
+        dets += draw(st.lists(st.sampled_from(dets), max_size=4))
+    return draw(st.permutations(dets))
+
+
+@given(nms_inputs(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), _GRID)
+@SETTINGS
+def test_nms_equals_oracle_nms(dets, thresh, grid):
+    assert nms(dets, thresh, *grid) == oracle_nms(dets, thresh, *grid)
 
 
 @given(_CENTER, _CENTER, st.floats(5e-324, 1e-15), _GRID)

@@ -187,6 +187,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out == "":
+        raise ConfigError("--out must not be empty")
     records = read_manifest(args.manifest)
     samples, missing = load_samples(records, args.preds, args.manifest)
     report = evaluate(samples, operating_tau=args.tau)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annot import Detection, PixelBox, from_pixel_box, to_pixel_box
+from .annot import Detection, PixelBox, from_pixel_box
 from .errors import ConfigError
 from .frame import PGM_MAXVAL, ThermalFrame, celsius_from_raw, read_frame
 from .manifest import ManifestRecord, resolve
-from .metrics import iou, visit_order
+from .metrics import _corners, _overlaps, _visit_order
 from .util import clamp
 
 
@@ -100,14 +100,15 @@ def nms(dets: list[Detection], iou_thresh: float,
         width: int, height: int) -> list[Detection]:
     """Greedy non-maximum suppression.
 
-    Detections are visited in metrics.visit_order; each is kept only if
+    Detections are visited in metrics._visit_order; each is kept only if
     its IoU with every box kept before stays below iou_thresh. The result
     keeps that order, is a subset of the input, and is idempotent.
     """
-    boxes = [to_pixel_box(d.box, width, height) for d in dets]
+    corners = _corners([d.box for d in dets], width, height)
     kept: list[int] = []
-    for i in visit_order(dets, boxes):
-        if all(iou(boxes[i], boxes[j]) < iou_thresh for j in kept):
+    for i in _visit_order(corners, np.array([d.confidence for d in dets],
+                                            dtype=np.float64)).tolist():
+        if (_overlaps(corners[kept], corners[i:i + 1]) < iou_thresh).all():
             kept.append(i)
     return [dets[i] for i in kept]
 
@@ -117,9 +118,9 @@ def _warm_components(raw: np.ndarray, cut: int
     """4-connected components of `raw >= cut`, found from row runs.
 
     Returns (boxes, ids): the components' half-open boxes (y0, y1, x0,
-    x1) in raster order of their first pixel, which visit_order keeps
-    among exact ties, and an image with ids[y, x] == k + 1 on component
-    k and 0 elsewhere. One component gives the warm mask, as True == 1.
+    x1) in raster order of their first pixel, which NMS keeps among
+    exact ties, and an image with ids[y, x] == k + 1 on component k and
+    0 elsewhere. One component gives the warm mask, as True == 1.
     """
     # A cold column on either side of each row keeps runs from crossing
     # rows, so in the flattened frame warm runs and cold gaps alternate.
@@ -136,16 +137,16 @@ def _warm_components(raw: np.ndarray, cut: int
         return [], warm
     starts, stops = edges[0::2], edges[1::2]
 
-    # Run j touches the runs of the row above that overlap its span
+    # Run j + 1 touches the runs of the row above that overlap its span
     # moved up one stride: indices lo[j] to hi[j], as starts and stops
     # both ascend. If every run after the first touches one, each joins
     # an earlier run, so all of them join run 0: one component. So do
-    # they if every run before the last touches one in the row below.
+    # they if every run before the last touches one in the row below:
+    # run i does when some [lo[j], hi[j]) holds i, and hi[j] <= j + 1.
     lo = np.searchsorted(stops, starts[1:] - stride, side="right")
     hi = np.searchsorted(starts, stops[1:] - stride, side="left")
-    if (hi > lo).all() or (
-            np.searchsorted(starts, stops[:-1] + stride, side="left")
-            > np.searchsorted(stops, starts[:-1] + stride, side="right")).all():
+    if (hi > lo).all() or np.cumsum(np.bincount(lo, minlength=starts.size)
+            - np.bincount(hi, minlength=starts.size))[:-1].all():
         y0, y1 = int(starts[0]) // stride, int(stops[-1]) // stride + 1
         x0, x1 = int((starts % stride).min()), int((stops % stride).max())
         return [(y0, y1, x0, x1)], warm
@@ -183,7 +184,7 @@ def detect_blobs(frame: ThermalFrame,
                  config: DetectorConfig = DEFAULT_CONFIG) -> list[Detection]:
     """Detect warm blobs in one frame.
 
-    Returns detections in metrics.visit_order, already thinned by NMS.
+    Returns detections in NMS's visit order, already thinned by NMS.
     Boxes are the tight pixel bounding boxes of the components,
     converted to normalized coordinates; zero-score components are
     dropped, area and aspect first; NMS runs only on two or more boxes.

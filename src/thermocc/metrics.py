@@ -48,20 +48,12 @@ def iou(a: PixelBox, b: PixelBox) -> float:
     return inter / (a.area() + b.area() - inter)
 
 
-def visit_order(dets: list[Detection], boxes: list[PixelBox]) -> list[int]:
-    """Indices of dets as NMS and matching visit them: descending
-    confidence, ties by pixel y0, then x0, then index. boxes[i] is the
-    pixel box of dets[i]."""
-    return sorted(range(len(dets)),
-                  key=lambda i: (-dets[i].confidence, boxes[i].y0, boxes[i].x0))
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of matching one image's predictions to its ground truth.
 
     assignments holds (prediction index, matched gt index or None) in
-    the order predictions were visited (visit_order).
+    visit order: descending confidence, then pixel y0, x0 and index.
     """
 
     assignments: tuple[tuple[int, int | None], ...]
@@ -91,10 +83,16 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (ea[:, 0] * ea[:, 1] + eb[:, 0] * eb[:, 1] - inter)
 
 
+def _visit_order(corners: np.ndarray, conf: np.ndarray, *outer) -> np.ndarray:
+    """Indices of boxes as NMS and matching visit them: any keys in outer
+    (last first), then descending conf, pixel y0, x0 and index."""
+    return np.lexsort((corners[:, 0], corners[:, 1], -conf) + outer)
+
+
 def _match_block(block, rungs: np.ndarray, width: int, height: int):
     """Greedily match a block of (preds, gts) images at each rung of
     rungs, an (r, 1) array, scanning the p-th prediction of every image
-    at step p. Returns each image's prediction indices in visit_order,
+    at step p. Returns each image's prediction indices in _visit_order,
     image after image; their confidences; and found[k, i], the gt index
     that prediction i of that order took at rungs[k], or -1."""
     npred, ngt = np.array([(len(preds), len(gts)) for preds, gts in block],
@@ -103,8 +101,7 @@ def _match_block(block, rungs: np.ndarray, width: int, height: int):
     pc = _corners([d.box for d in preds], width, height)
     gc = _corners([g.box for _, gts in block for g in gts], width, height)
     conf = np.array([d.confidence for d in preds], dtype=np.float64)
-    order = np.lexsort((pc[:, 0], pc[:, 1], -conf,
-                        np.repeat(np.arange(len(block)), npred)))
+    order = _visit_order(pc, conf, np.repeat(np.arange(len(block)), npred))
     pc, pstart, gstart = pc[order], npred.cumsum() - npred, ngt.cumsum() - ngt
     taken = np.zeros((len(rungs), len(gc)), dtype=bool)
     found = np.full((len(rungs), len(pc)), -1, dtype=np.intp)
@@ -132,7 +129,7 @@ def match_detections(preds: list[Detection], gts: list[GroundTruthBox],
                      height: int = NATIVE_HEIGHT) -> MatchResult:
     """Greedily match predictions to ground-truth boxes.
 
-    Predictions are visited in visit_order. Each takes the
+    Predictions are visited as MatchResult orders them. Each takes the
     still-unmatched ground truth with the highest IoU, ties going to the
     lowest gt index, and counts as a true positive when that IoU reaches
     iou_thresh. Each ground truth is consumed at most once.
@@ -167,7 +164,7 @@ class PRCurve:
 
 def _sweep(samples, thresholds, width: int, height: int):
     """Match every image once for all thresholds and rank all predictions
-    once: confidence descending, then image, then visit_order position.
+    once: confidence descending, then image, then _visit_order position.
     The greedy pass visits predictions by descending confidence, so the
     match of a confidence prefix is the prefix of the full match, and one
     pass labels every prediction TP or FP for the whole sweep. Returns

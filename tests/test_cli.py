@@ -275,7 +275,7 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
                                         monkeypatch):
     """A run into an --out that holds anything exits 1 before it writes,
     so it never mixes with the files already there; an empty directory
-    is fine, an empty --out is not."""
+    is fine, an empty --out is not, for eval's report file either."""
     runs = [["pipeline", "--frames", "40"],
             ["synth", "--frames", "6"],
             ["detect", "--manifest", frontal_dataset]]
@@ -304,7 +304,9 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
     # os.path.lexists("") is False, yet "" would write into the current
     # directory
     (here / "kept.txt").write_text("kept")
-    for argv in runs:
+    # eval refuses it before it reads the manifest, which is missing here
+    for argv in runs + [["eval", "--manifest", str(tmp_path / "none.jsonl"),
+                         "--preds", str(tmp_path)]]:
         assert main(argv + ["--out", ""]) == 1
         assert "--out must not be empty" in capsys.readouterr().err
         assert [p.name for p in here.iterdir()] == ["kept.txt"]

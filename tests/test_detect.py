@@ -15,7 +15,7 @@ from thermocc.annot import (Detection, NormalizedBox, PixelBox,
                             from_pixel_box, to_pixel_box)
 from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, _warm_components,
                              detect_blobs, detect_manifest, nms, score_blob)
-from thermocc.errors import ConfigError
+from thermocc.errors import ConfigError, DegenerateBoxError
 from thermocc.frame import ThermalFrame, celsius_from_raw, decode_frame, \
     encode_frame, raw_from_celsius, read_frame
 from thermocc.manifest import (ManifestRecord, prediction_filenames,
@@ -531,6 +531,21 @@ def test_nms_exact_confidence_tie(survivor, loser):
                   for b in (survivor, loser))
     assert nms([keep, drop], 0.5, 128, 96) == [keep]
     assert nms([drop, keep], 0.5, 128, 96) == [keep]
+
+
+def test_nms_rejects_boxes_as_to_pixel_box_does():
+    """A box too thin for the grid fails with to_pixel_box's error, and
+    so does any box on a grid under 1x1; no boxes there are no error."""
+    thin = NormalizedBox(0.5, 0.5, 1e-17, 0.5)
+    with pytest.raises(DegenerateBoxError) as want:
+        to_pixel_box(thin, 128, 96)
+    good = Detection(0, NormalizedBox(0.5, 0.5, 0.2, 0.2), 0.9)
+    with pytest.raises(DegenerateBoxError) as got:
+        nms([good, Detection(0, thin, 0.5)], 0.5, 128, 96)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="at least 1x1"):
+        nms([good], 0.5, 0, 96)
+    assert nms([], 0.5, 0, 96) == []
 
 
 def test_nms_idempotent_and_subset():

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from thermocc.annot import (Detection, NormalizedBox, parse_labels,
                             parse_predictions, to_pixel_box)
+from thermocc.detect import nms
 from thermocc.errors import DegenerateBoxError, ThermoccError
 from thermocc.frame import ThermalFrame, decode_frame
 from thermocc.manifest import read_manifest
-from thermocc.detect import nms
 from thermocc.metrics import _corners, _match_block, _overlaps, iou
 
 from oracle import corners, oracle_nms, ranking

@@ -203,3 +203,41 @@ def test_csv_writes_are_deterministic(tmp_path):
     write_timeline_csv(str(a), actual, detected)
     write_timeline_csv(str(b), actual, detected)
     assert a.read_bytes() == b.read_bytes()
+
+
+
+# Gaps of about 2**53 s, where a float no longer holds every integer: the
+# running sums, taken in entry order, fix these bits; converting the sum
+# of the integer gaps once would give total_seconds 3.6028797018963976e16.
+HUGE_GAPS = (0, 2**53 + 1, 2**54 + 4, 2**54 + 2**53 + 7)
+
+
+@pytest.mark.parametrize("entries, policy, hvac, expected", [
+    (tuple(zip(HUGE_GAPS, (True, True, False, True))), ControlPolicy(0.0, 0.0),
+     [True, True, False, True],
+     ("0x1.8000000000002p+54", "0x1.0000000000002p+55",
+      "0x1.7ffffffffffffp-1")),
+    # one gap, which the last entry reuses; the first waits out the delay
+    (((3, True), (10, True)), ControlPolicy(5.0, 900.0), [False, True],
+     ("0x1.c000000000000p+2", "0x1.c000000000000p+3",
+      "0x1.0000000000000p-1")),
+], ids=["huge-gaps", "two-samples"])
+def test_simulate_control_keeps_its_float_bits(entries, policy, hvac,
+                                                expected):
+    schedule = simulate_control(OccupancyTimeline(entries), policy)
+    assert [f for _, f in schedule.entries] == hvac
+    assert (schedule.on_seconds.hex(), schedule.total_seconds.hex(),
+            schedule.on_fraction.hex()) == expected
+
+
+def test_compare_counts_each_kind_of_pair():
+    """Distinct counts for the four (truth, seen) kinds, so no two of
+    them can trade places unseen."""
+    actual = timeline([True] * 5 + [False] * 5)
+    detected = timeline([True, True, True, False, False,
+                         True, False, False, False, False])
+    confusion = compare(actual, detected)
+    assert (confusion.tp, confusion.fp, confusion.fn, confusion.tn) == (3, 1, 2, 4)
+    assert confusion.precision == 0.75
+    assert confusion.recall == 0.6
+    assert confusion.missed_occupied == 2

@@ -32,8 +32,8 @@ from .split import (DEFAULT_FRACTIONS, SplitFractions, stratified_split,
                     verify_ratio)
 from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                     MIXED_SCENARIOS, DatasetSpec, generate_dataset,
-                    manifest_records, occupied_count, plan_dataset,
-                    write_planned_frame)
+                    make_dataset_dirs, manifest_records, occupied_count,
+                    plan_dataset, write_planned_frame)
 from .util import (fork_map, make_dirs, staged_dir, write_text,
                    write_text_atomic)
 
@@ -72,10 +72,8 @@ def _dataset_spec(args, **extra) -> DatasetSpec:
 
 
 def _staged_out(out: str):
-    """The one way synth, detect and pipeline make --out. Refuses an empty,
-    used or current-directory --out, then returns util.staged_dir for it."""
-    if not out:
-        raise ConfigError("--out must not be empty")
+    """The one way synth, detect and pipeline make --out. Refuses a used or
+    current-directory --out, then returns util.staged_dir for it."""
     try:
         used = os.path.lexists(out) and (not os.path.isdir(out)
                                          or bool(os.listdir(out)))
@@ -187,8 +185,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out == "":
-        raise ConfigError("--out must not be empty")
+    check_tau(args.tau)
     records = read_manifest(args.manifest)
     samples, missing = load_samples(records, args.preds, args.manifest)
     report = evaluate(samples, operating_tau=args.tau)
@@ -202,6 +199,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_occupancy(args) -> int:
+    check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     records = read_manifest(args.manifest)
     if not records:
@@ -236,14 +234,12 @@ def cmd_pipeline(args) -> int:
     with stage as work:
         dataset_dir = os.path.join(work, "dataset")
         preds_dir = os.path.join(work, "preds")
-        for path in (records[0].frame, records[0].labels):  # named by synth
-            make_dirs(os.path.join(dataset_dir, os.path.dirname(path)))
+        manifest_path = make_dataset_dirs(dataset_dir, records)
         make_dirs(preds_dir)
         results = fork_map(functools.partial(
             _pipeline_frame, spec, dataset_dir, preds_dir,
             frozenset(assignment.test)), plans, args.threads)
         samples = [results[i] for i in assignment.test]
-        manifest_path = os.path.join(dataset_dir, "manifest.jsonl")
         write_manifest(manifest_path, records)
         print(f"dataset: {len(records)} frames under "
               f"{os.path.join(args.out, 'dataset')}")
@@ -365,6 +361,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_env_seed(args)
+        if args.out == "":  # "" would write into the current directory
+            raise ConfigError("--out must not be empty")
         return args.func(args)
     except SystemExit as exc:  # argparse has printed a usage error or --help
         return 1 if exc.code else 0

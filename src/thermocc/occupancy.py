@@ -10,6 +10,7 @@ cycling the plant.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .annot import Detection
@@ -83,21 +84,22 @@ class OccupancyConfusion:
         return self.fn
 
 
+def _aligned(actual: OccupancyTimeline,
+             detected: OccupancyTimeline) -> list[tuple[int, bool, bool]]:
+    """(ts, truth, seen) per frame of two timelines on identical stamps."""
+    if actual.timestamps() != detected.timestamps():
+        raise AlignmentError("timelines cover different timestamps")
+    return [(ts, truth, seen) for (ts, truth), (_, seen)
+            in zip(actual.entries, detected.entries)]
+
+
 def compare(actual: OccupancyTimeline,
             detected: OccupancyTimeline) -> OccupancyConfusion:
     """Frame-level confusion between two timelines on identical stamps."""
-    if actual.timestamps() != detected.timestamps():
-        raise AlignmentError("timelines cover different timestamps")
-    tp = fp = fn = tn = 0
-    for (_, truth), (_, seen) in zip(actual.entries, detected.entries):
-        if truth and seen:
-            tp += 1
-        elif not truth and seen:
-            fp += 1
-        elif truth and not seen:
-            fn += 1
-        else:
-            tn += 1
+    pairs = Counter((truth, seen) for _, truth, seen
+                    in _aligned(actual, detected))
+    tp, fp, fn, tn = (pairs[True, True], pairs[False, True],
+                      pairs[True, False], pairs[False, False])
     precision, recall = precision_recall(tp, fp, fn)
     return OccupancyConfusion(tp, fp, fn, tn, precision, recall)
 
@@ -142,13 +144,18 @@ def simulate_control(detected: OccupancyTimeline,
     occupied run switches on once it reaches on_delay, a vacant run
     switches off once it reaches off_hold; otherwise the previous state
     holds. Durations weight each entry by the gap to the next sample;
-    the final entry reuses the previous gap (zero for a lone sample).
+    the final entry reuses the previous gap. A lone sample has no gap,
+    and its on_fraction is the plant's state.
     """
+    stamps = detected.timestamps()
+    gaps = [b - a for a, b in zip(stamps, stamps[1:])] or [0]
+    gaps.append(gaps[-1])
     entries = []
     hvac = False
     run_value: bool | None = None
     run_start = 0
-    for ts, occupied in detected.entries:
+    on = total = 0.0  # running sums in entry order fix their bits
+    for (ts, occupied), gap in zip(detected.entries, gaps):
         if occupied != run_value:
             run_value = occupied
             run_start = ts
@@ -158,41 +165,19 @@ def simulate_control(detected: OccupancyTimeline,
         elif not run_value and elapsed >= policy.off_hold:
             hvac = False
         entries.append((ts, hvac))
-    on_seconds, total_seconds = _weighted_on_time(entries)
-    if total_seconds > 0:
-        on_fraction = on_seconds / total_seconds
-    elif entries:
-        on_fraction = sum(f for _, f in entries) / len(entries)
-    else:
-        on_fraction = 0.0
-    return HvacSchedule(tuple(entries), on_seconds, total_seconds,
-                        on_fraction)
-
-
-def _weighted_on_time(entries: list[tuple[int, bool]]) -> tuple[float, float]:
-    n = len(entries)
-    if n < 2:
-        return 0.0, 0.0
-    on = total = 0.0
-    for k, (ts, flag) in enumerate(entries):
-        if k < n - 1:
-            dwell = entries[k + 1][0] - ts
-        else:
-            dwell = ts - entries[k - 1][0]
-        total += dwell
-        if flag:
-            on += dwell
-    return on, total
+        total += gap
+        if hvac:
+            on += gap
+    return HvacSchedule(tuple(entries), on, total,
+                        on / total if total else float(hvac))
 
 
 def write_timeline_csv(path: str, actual: OccupancyTimeline,
                        detected: OccupancyTimeline) -> None:
     """One row per frame: timestamp, actual flag, detected flag (0/1)."""
-    if actual.timestamps() != detected.timestamps():
-        raise AlignmentError("timelines cover different timestamps")
     write_text_atomic(path, "ts,actual,detected\n" + "".join(
         f"{ts},{int(truth)},{int(seen)}\n"
-        for (ts, truth), (_, seen) in zip(actual.entries, detected.entries)))
+        for ts, truth, seen in _aligned(actual, detected)))
 
 
 def write_schedule_csv(path: str, schedule: HvacSchedule) -> None:

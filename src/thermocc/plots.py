@@ -24,17 +24,22 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _frame_and_axes(parts: list[str], xlabel: str, ylabel: str) -> None:
+def _document(xlabel: str, ylabel: str, body: list[str]) -> str:
+    """The SVG both figures share: background, plot frame, axis labels,
+    then body's elements."""
     x0, y0 = _ML, _H - _MB
     x1, y1 = _W - _MR, _MT
-    parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" '
-                 f'height="{y0 - y1}" fill="none" stroke="#999"/>')
-    parts.append(f'<text {_STYLE} x="{(x0 + x1) / 2:.0f}" y="{_H - 10}" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text {_STYLE} x="16" y="{(y0 + y1) / 2:.0f}" '
-                 f'text-anchor="middle" '
-                 f'transform="rotate(-90 16 {(y0 + y1) / 2:.0f})">'
-                 f'{ylabel}</text>')
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+        f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" '
+        f'height="{y0 - y1}" fill="none" stroke="#999"/>',
+        f'<text {_STYLE} x="{(x0 + x1) / 2:.0f}" y="{_H - 10}" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text {_STYLE} x="16" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {(y0 + y1) / 2:.0f})">{ylabel}</text>',
+        *body, "</svg>"]) + "\n"
 
 
 def _x(frac: float) -> float:
@@ -47,10 +52,7 @@ def _y(frac: float) -> float:
 
 def pr_curve_svg(curve: PRCurve, ap50: float) -> str:
     """Precision/recall curve with the AP@0.50 figure annotated."""
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-             f'height="{_H}" viewBox="0 0 {_W} {_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    _frame_and_axes(parts, "recall", "precision")
+    parts = []
     for k in range(5):
         frac = k / 4
         label = f"{frac:.2f}"
@@ -75,8 +77,7 @@ def pr_curve_svg(curve: PRCurve, ap50: float) -> str:
                      f'text-anchor="middle">no detections</text>')
     parts.append(f'<text {_STYLE} x="{_W - _MR - 8}" y="{_MT + 18}" '
                  f'text-anchor="end">AP@0.50 = {ap50:.3f}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document("recall", "precision", parts)
 
 
 def _step_path(timestamps: list[int], flags: list[bool], t0: int, span: int,
@@ -99,10 +100,7 @@ def _step_path(timestamps: list[int], flags: list[bool], t0: int, span: int,
 def timeline_svg(actual: OccupancyTimeline, detected: OccupancyTimeline,
                  schedule: HvacSchedule | None = None) -> str:
     """Stacked step plots: actual occupancy, detected occupancy, HVAC."""
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-             f'height="{_H}" viewBox="0 0 {_W} {_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    _frame_and_axes(parts, "time (s)", "")
+    parts = []
     series = [("actual", actual.timestamps(), actual.flags(), "#1f6fb4"),
               ("detected", detected.timestamps(), detected.flags(), "#d1495b")]
     if schedule is not None and schedule.entries:
@@ -125,8 +123,7 @@ def timeline_svg(actual: OccupancyTimeline, detected: OccupancyTimeline,
         ts = t0 + round(span * k / 4)
         parts.append(f'<text {_STYLE} x="{_fmt(_x(k / 4))}" '
                      f'y="{_H - _MB + 16}" text-anchor="middle">{ts}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document("time (s)", "", parts)
 
 
 def emit_plots(out_dir: str, curve: PRCurve, ap50: float,

@@ -323,15 +323,23 @@ def write_planned_frame(spec: DatasetSpec, plan: FramePlan,
     return frame, labels
 
 
+def make_dataset_dirs(out_dir: str, records: list[ManifestRecord]) -> str:
+    """Make the subdirectories of out_dir that records' frames and labels
+    go in; returns the path of out_dir's manifest."""
+    for sub in {os.path.dirname(path) for rec in records
+                for path in (rec.frame, rec.labels)}:
+        make_dirs(os.path.join(out_dir, sub))
+    return os.path.join(out_dir, "manifest.jsonl")
+
+
 def generate_dataset(spec: DatasetSpec, out_dir: str) -> str:
     """Write spec's frames/, labels/ and manifest.jsonl; returns its path.
     Each frame draws from its own (seed, index) stream, so frames can be
     written in any order and process (see write_planned_frame)."""
     plans = plan_dataset(spec)
-    make_dirs(os.path.join(out_dir, "frames"))
-    make_dirs(os.path.join(out_dir, "labels"))
+    records = manifest_records(plans)
+    manifest_path = make_dataset_dirs(out_dir, records)
     for plan in plans:
         write_planned_frame(spec, plan, out_dir)
-    manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    write_manifest(manifest_path, manifest_records(plans))
+    write_manifest(manifest_path, records)
     return manifest_path

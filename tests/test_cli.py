@@ -220,6 +220,56 @@ def test_pipeline_checks_arguments_before_writing(tmp_path, capsys, bad):
         assert "--threads" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--tau", "2"], "tau must lie in [0, 1], got 2.0"),
+    (["eval", "--out", ""], "--out must not be empty"),
+    (["occupancy", "--tau", "nan"], "tau must lie in [0, 1], got nan"),
+    (["occupancy", "--on-delay", "nan"],
+     "policy delays must be non-negative numbers"),
+    (["occupancy", "--out", ""], "--out must not be empty"),
+    (["split", "--out", ""], "--out must not be empty"),
+], ids=["eval-tau", "eval-out", "occupancy-tau", "occupancy-on-delay",
+        "occupancy-out", "split-out"])
+def test_stages_check_arguments_before_reading(tmp_path, frontal_dataset,
+                                               capsys, argv, message):
+    """A bad argument is reported before the manifest or the predictions
+    are read: over a manifest with no prediction files nothing is printed,
+    and a missing manifest is not what is reported."""
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    command, flags = argv[0], argv[1:]
+    if command != "split":
+        flags += ["--preds", str(preds)]
+    if "--out" not in flags:
+        flags += ["--out", str(tmp_path / "out")]
+    for manifest in (frontal_dataset, str(tmp_path / "none.jsonl")):
+        assert main([command, "--manifest", manifest] + flags) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_detect_refuses_a_bad_nms_iou_before_out(tmp_path, frontal_dataset,
+                                                 capsys):
+    out = tmp_path / "preds"
+    assert main(["detect", "--manifest", frontal_dataset, "--out", str(out),
+                 "--nms-iou", "1.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: nms_iou must lie in [0, 1], got 1.5\n")
+    assert not out.exists() and not list(tmp_path.glob("*.partial"))
+
+
+def test_detect_above_the_head_peak_finds_nothing(tmp_path, frontal_dataset):
+    """Synthesized heads peak at 34 C, so a 40 C contour seeds no blob and
+    every frame gets an empty prediction file."""
+    out = tmp_path / "preds"
+    assert main(["detect", "--manifest", frontal_dataset, "--out", str(out),
+                 "--warm-threshold", "40"]) == 0
+    records = read_manifest(frontal_dataset)
+    assert any(rec.occupied for rec in records)
+    texts = [(out / name).read_text() for name in sorted(os.listdir(out))]
+    assert len(texts) == len(records) and set(texts) == {""}
+
+
 def test_killed_synth_worker_fails_the_run(tmp_path):
     """A synth worker killed by a signal ends the run with exit 1; it
     must not leave the pipeline waiting forever."""
@@ -304,8 +354,12 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
     # os.path.lexists("") is False, yet "" would write into the current
     # directory
     (here / "kept.txt").write_text("kept")
-    # eval refuses it before it reads the manifest, which is missing here
-    for argv in runs + [["eval", "--manifest", str(tmp_path / "none.jsonl"),
+    # eval, split and occupancy refuse it before they read the manifest,
+    # which is missing here
+    missing = str(tmp_path / "none.jsonl")
+    for argv in runs + [["eval", "--manifest", missing, "--preds", str(tmp_path)],
+                        ["split", "--manifest", missing],
+                        ["occupancy", "--manifest", missing,
                          "--preds", str(tmp_path)]]:
         assert main(argv + ["--out", ""]) == 1
         assert "--out must not be empty" in capsys.readouterr().err

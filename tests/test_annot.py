@@ -230,6 +230,15 @@ def test_to_pixel_box_degenerate_guard():
         to_pixel_box(bad, 128, 96)
 
 
+def test_to_pixel_box_refuses_an_empty_grid_as_the_callers_error():
+    """A grid 0 pixels wide or high raises ValueError, not the box's
+    DegenerateBoxError, though the box collapses on it too."""
+    for width, height in ((0, 96), (128, 0)):
+        with pytest.raises(ValueError, match="at least 1x1") as got:
+            to_pixel_box(NormalizedBox(0.5, 0.5, 0.5, 0.5), width, height)
+        assert type(got.value) is ValueError
+
+
 def test_pixel_box_roundtrip_random():
     rng = random.Random(5)
     for _ in range(400):

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import thermocc
 from thermocc.cli import main
 from thermocc.errors import DataIOError, FrameIOError
+from thermocc.frame import read_frame
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import DatasetSpec, generate_dataset, occupied_count
 
@@ -30,6 +32,24 @@ def frontal_dataset(tmp_path):
                "--scenario", "frontal"])
     assert rc == 0
     return str(out / "manifest.jsonl")
+
+
+def test_synth_takes_its_clock_and_noise_flags(tmp_path):
+    """--start-ts and --period set each frame's ts, in the manifest and in
+    the frame's `# ts=` line alike; --sigma 0 leaves a vacant frame one
+    raw count, its drawn background."""
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--frames", "6", "--start-ts",
+                 "100", "--period", "5", "--sigma", "0"]) == 0
+    records = read_manifest(str(out / "manifest.jsonl"))
+    assert [r.ts for r in records] == [100, 105, 110, 115, 120, 125]
+    for rec in records:
+        with open(out / rec.frame, "rb") as fh:
+            assert fh.read().split(b"\n")[1] == f"# ts={rec.ts}".encode()
+    vacant = [r for r in records if not r.occupied]
+    assert vacant
+    for rec in vacant:
+        assert np.unique(read_frame(str(out / rec.frame)).temps).size == 1
 
 
 def test_synth_writes_dataset(tmp_path, capsys):

@@ -54,6 +54,11 @@ def test_iou_disjoint_is_zero():
     assert iou(PixelBox(0, 0, 4, 4), PixelBox(4, 0, 8, 4)) == 0.0
 
 
+def test_iou_of_two_boxes_without_area_is_zero():
+    point = PixelBox(1.0, 1.0, 1.0, 1.0)
+    assert iou(point, point) == 0.0
+
+
 def test_iou_one_third():
     # 2x2 squares offset by 1: intersection 2, union 6
     assert iou(pb(nb(0, 0, 2, 2)), pb(nb(1, 0, 3, 2))) == pytest.approx(1 / 3)

@@ -1,7 +1,7 @@
 """Property tests: the parsers of outside input fail only with ThermoccError,
 the frame parser reads every header its grammar allows, the metrics'
-batch box geometry gives the bits of the scalar rules it stands for, and
-NMS keeps what the brute-force oracle keeps.
+box geometry, batch and one-box, gives the bits of the brute-force
+oracle's rules, and NMS keeps what the oracle keeps.
 
 Any exception other than a ThermoccError would reach the CLI as exit
 code 2, which is reserved for bugs. The runs are derandomized and keep
@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermocc.annot import (Detection, NormalizedBox, parse_labels,
-                            parse_predictions, to_pixel_box)
+                            parse_predictions)
 from thermocc.detect import nms
 from thermocc.errors import DegenerateBoxError, ThermoccError
 from thermocc.frame import ThermalFrame, decode_frame
 from thermocc.manifest import read_manifest
-from thermocc.metrics import _corners, _match_block, _overlaps, iou
+from thermocc.metrics import (_corners, _match_block, _overlaps, iou,
+                              to_pixel_box)
 
-from oracle import corners, oracle_nms, ranking
+from oracle import corners, oracle_nms, overlap, ranking
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=150,
                     deadline=None)
@@ -176,22 +177,31 @@ def _hexes(values) -> list[str]:
 
 @given(st.lists(_BOX, max_size=8), _GRID)
 @SETTINGS
-def test_batch_corners_equal_to_pixel_box(boxes, grid):
-    corners = _corners(boxes, *grid)
-    assert corners.shape == (len(boxes), 4)
-    for box, row in zip(boxes, corners):
-        p = to_pixel_box(box, *grid)
-        assert _hexes(row) == _hexes((p.x0, p.y0, p.x1, p.y1))
+def test_batch_corners_equal_oracle_corners(boxes, grid):
+    got = _corners(boxes, *grid)
+    assert got.shape == (len(boxes), 4)
+    for box, row in zip(boxes, got):
+        assert _hexes(row) == _hexes(corners(box, *grid))
 
 
 @given(st.lists(st.tuples(_BOX, _BOX), min_size=1, max_size=8), _GRID)
 @SETTINGS
-def test_batch_iou_equals_iou(pairs, grid):
+def test_batch_iou_equals_oracle_overlap(pairs, grid):
     got = _overlaps(_corners([a for a, _ in pairs], *grid),
                     _corners([b for _, b in pairs], *grid))
-    assert _hexes(got) == _hexes(iou(to_pixel_box(a, *grid),
-                                     to_pixel_box(b, *grid))
+    assert _hexes(got) == _hexes(overlap(corners(a, *grid), corners(b, *grid))
                                  for a, b in pairs)
+
+
+@given(st.tuples(_BOX, _BOX), _GRID)
+@SETTINGS
+def test_one_box_views_equal_oracle(pair, grid):
+    """to_pixel_box and iou, the one-box API, give the oracle's bits."""
+    (a, b), want = pair, [corners(box, *grid) for box in pair]
+    got = [to_pixel_box(box, *grid) for box in pair]
+    assert [_hexes((p.x0, p.y0, p.x1, p.y1)) for p in got] == [
+        _hexes(c) for c in want]
+    assert float.hex(iou(*got)) == float.hex(overlap(*want))
 
 
 @given(st.lists(st.lists(st.tuples(_BOX, st.sampled_from([0.0, 0.5, 1.0])),
@@ -232,16 +242,15 @@ def test_nms_equals_oracle_nms(dets, thresh, grid):
 
 @given(_CENTER, _CENTER, st.floats(5e-324, 1e-15), _GRID)
 @SETTINGS
-def test_batch_corners_reject_what_to_pixel_box_rejects(cx, cy, thin, grid):
+def test_batch_corners_reject_what_the_oracle_rejects(cx, cy, thin, grid):
     """A width that vanishes in rounding collapses the box, unless it
     sits at an edge where the clamp keeps it open."""
     box = NormalizedBox(cx, cy, thin, 0.5)
-    try:
-        p = to_pixel_box(box, *grid)
-    except DegenerateBoxError as exc:
+    x0, y0, x1, y1 = want = corners(box, *grid)
+    if x1 > x0 and y1 > y0:
+        assert _hexes(_corners([box], *grid)[0]) == _hexes(want)
+    else:
         with pytest.raises(DegenerateBoxError) as got:
             _corners([NormalizedBox(0.5, 0.5, 0.5, 0.5), box], *grid)
-        assert str(got.value) == str(exc)
-    else:
-        assert _hexes(_corners([box], *grid)[0]) == _hexes(
-            (p.x0, p.y0, p.x1, p.y1))
+        assert str(got.value) == (
+            f"box collapses to zero area on a {grid[0]}x{grid[1]} grid")

@@ -10,7 +10,7 @@ the pieces together.
 
 from .annot import (Detection, GroundTruthBox, NormalizedBox, PixelBox,
                     from_pixel_box, parse_labels, parse_predictions,
-                    serialize_labels, serialize_predictions, to_pixel_box)
+                    serialize_labels, serialize_predictions)
 from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
                      detect_manifest, nms, score_blob)
 from .errors import ThermoccError
@@ -19,7 +19,8 @@ from .frame import (ThermalFrame, decode_frame, encode_frame, read_frame,
 from .manifest import ManifestRecord, read_manifest, write_manifest
 from .metrics import (EvalReport, MatchResult, PRCurve, average_precision,
                       evaluate, iou, load_samples, map_range,
-                      match_detections, pr_curve, precision_recall)
+                      match_detections, pr_curve, precision_recall,
+                      to_pixel_box)
 from .occupancy import (ControlPolicy, HvacSchedule, OccupancyConfusion,
                         OccupancyTimeline, compare, detection_timeline,
                         frame_occupancy, manifest_timeline, simulate_control)

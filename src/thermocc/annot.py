@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AnnotationParseError, BoxRangeError, DegenerateBoxError
-from .util import clamp
+from .errors import AnnotationParseError, BoxRangeError
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,9 @@ class PixelBox:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
 
-def to_pixel_box(box: NormalizedBox, width: int, height: int) -> PixelBox:
-    """Scale a normalized box onto a width x height grid, clamped to it."""
-    if width < 1 or height < 1:
-        raise ValueError("image dimensions must be at least 1x1")
-    x0 = clamp((box.cx - box.w / 2.0) * width, 0.0, float(width))
-    x1 = clamp((box.cx + box.w / 2.0) * width, 0.0, float(width))
-    y0 = clamp((box.cy - box.h / 2.0) * height, 0.0, float(height))
-    y1 = clamp((box.cy + box.h / 2.0) * height, 0.0, float(height))
-    if not (x1 > x0 and y1 > y0):
-        raise DegenerateBoxError(
-            f"box collapses to zero area on a {width}x{height} grid")
-    return PixelBox(x0, y0, x1, y1)
-
-
 def from_pixel_box(pbox: PixelBox, width: int, height: int) -> NormalizedBox:
-    """Inverse of to_pixel_box for boxes already inside the grid."""
+    """Inverse of metrics.to_pixel_box, which scales boxes onto the grid,
+    for boxes already inside it."""
     return NormalizedBox(
         cx=(pbox.x0 + pbox.x1) / 2.0 / width,
         cy=(pbox.y0 + pbox.y1) / 2.0 / height,

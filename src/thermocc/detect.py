@@ -23,7 +23,6 @@ from .errors import ConfigError
 from .frame import PGM_MAXVAL, ThermalFrame, celsius_from_raw, read_frame
 from .manifest import ManifestRecord, resolve
 from .metrics import _corners, _overlaps, _visit_order
-from .util import clamp
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,8 @@ def _trapezoid(x: float, knots: tuple[float, float, float, float]) -> float:
 def score_blob(mean_temp: float, area_frac: float, aspect: float,
                config: DetectorConfig = DEFAULT_CONFIG) -> float:
     """Confidence of one blob: product of the three membership scores."""
-    f_temp = clamp((mean_temp - config.t_warm)
-                   / (config.t_face - config.t_warm), 0.0, 1.0)
+    f_temp = min(max((mean_temp - config.t_warm)
+                     / (config.t_face - config.t_warm), 0.0), 1.0)
     f_area = _trapezoid(area_frac, config.area_knots)
     f_aspect = _trapezoid(aspect, config.aspect_knots)
     return f_temp * f_area * f_aspect

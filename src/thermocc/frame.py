@@ -19,6 +19,8 @@ from .errors import (FrameFormatError, FrameIOError, FrameMetadataError,
 
 CENTI_KELVIN_OFFSET = 27315  # raw value of 0.00 degrees Celsius
 PGM_MAXVAL = 65535
+# The sensor's grid: synth draws on it and the metrics score on it.
+NATIVE_WIDTH, NATIVE_HEIGHT = 128, 96
 
 # The header grammar: whitespace after the magic, the `# ts=` line, then
 # width, height and maxval, each optional so that the first missing one

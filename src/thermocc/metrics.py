@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annot import Detection, GroundTruthBox, PixelBox, parse_labels, \
-    parse_predictions, to_pixel_box
-from .errors import ConfigError
+from .annot import Detection, GroundTruthBox, NormalizedBox, PixelBox, \
+    parse_labels, parse_predictions
+from .errors import ConfigError, DegenerateBoxError
+from .frame import NATIVE_HEIGHT, NATIVE_WIDTH
 from .manifest import ManifestRecord, prediction_filenames, resolve
 from .util import read_text
-
-NATIVE_WIDTH = 128
-NATIVE_HEIGHT = 96
 
 # IoU thresholds for the mAP ladder: 0.50 to 0.95 in 0.05 steps.
 MAP_THRESHOLDS = tuple((50 + 5 * k) / 100 for k in range(10))
@@ -38,16 +36,6 @@ def check_tau(tau: float) -> None:
         raise ConfigError(f"tau must lie in [0, 1], got {tau}")
 
 
-def iou(a: PixelBox, b: PixelBox) -> float:
-    """Intersection over union of two pixel boxes."""
-    iw = min(a.x1, b.x1) - max(a.x0, b.x0)
-    ih = min(a.y1, b.y1) - max(a.y0, b.y0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area() + b.area() - inter)
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Outcome of matching one image's predictions to its ground truth.
@@ -63,24 +51,41 @@ class MatchResult:
 
 
 def _corners(boxes, width: int, height: int) -> np.ndarray:
-    """(x0, y0, x1, y1) rows of normalized boxes, with to_pixel_box's
-    float operations; a box it would reject raises its error."""
+    """(x0, y0, x1, y1) rows of normalized boxes scaled onto a width x
+    height grid and clamped to it. If a box has no area there, this
+    raises ValueError on a grid under 1x1, else DegenerateBoxError."""
     b = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes]).reshape(-1, 4)
     grid, half = np.array([width, height] * 2, dtype=float), b[:, 2:] / 2.0
     c = np.clip(np.hstack([b[:, :2] - half, b[:, :2] + half]) * grid, 0.0, grid)
-    ok = (c[:, 2:] > c[:, :2]).all(axis=1)
-    if not ok.all():
-        to_pixel_box(boxes[int(ok.argmin())], width, height)  # raises
+    if not (c[:, 2:] > c[:, :2]).all():
+        if width < 1 or height < 1:
+            raise ValueError("image dimensions must be at least 1x1")
+        raise DegenerateBoxError(
+            f"box collapses to zero area on a {width}x{height} grid")
     return c
 
 
+def to_pixel_box(box: NormalizedBox, width: int, height: int) -> PixelBox:
+    """Scale a normalized box onto a width x height grid, clamped to it:
+    _corners of one box, with its errors."""
+    return PixelBox(*_corners([box], width, height)[0].tolist())
+
+
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """iou(a[k], b[k]) for each row k of two corner arrays, with iou's
-    float operations; boxes that do not overlap give 0.0."""
+    """IoU of rows a[k] and b[k] of two corner arrays for each k; boxes
+    that do not overlap give 0.0, or 0 / 0 if neither has area."""
     wh = np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])
     inter = np.maximum(wh[:, 0], 0.0) * np.maximum(wh[:, 1], 0.0)
     ea, eb = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
     return inter / (ea[:, 0] * ea[:, 1] + eb[:, 0] * eb[:, 1] - inter)
+
+
+def iou(a: PixelBox, b: PixelBox) -> float:
+    """Intersection over union of two pixel boxes, by _overlaps; 0.0 for
+    any two that do not overlap, two boxes without area included."""
+    rows = np.array([[p.x0, p.y0, p.x1, p.y1] for p in (a, b)])
+    with np.errstate(invalid="ignore"):  # 0 / 0 is nan, which means 0.0
+        return float(np.nan_to_num(_overlaps(rows[:1], rows[1:])[0]))
 
 
 def _visit_order(corners: np.ndarray, conf: np.ndarray, *outer) -> np.ndarray:

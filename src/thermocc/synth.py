@@ -25,7 +25,8 @@ import numpy as np
 
 from .annot import GroundTruthBox, NormalizedBox, serialize_labels
 from .errors import SceneSpecError
-from .frame import ThermalFrame, raw_from_celsius, write_frame
+from .frame import (NATIVE_HEIGHT, NATIVE_WIDTH, ThermalFrame,
+                    raw_from_celsius, write_frame)
 from .manifest import ManifestRecord, write_manifest
 from .util import make_dirs, round_half_away, write_text
 
@@ -125,8 +126,8 @@ class DatasetSpec:
     occupied_fraction: float = DEFAULT_OCCUPIED_FRACTION
     scenarios: tuple[Scenario, ...] = MIXED_SCENARIOS
     seed: int = 0
-    width: int = 128
-    height: int = 96
+    width: int = NATIVE_WIDTH
+    height: int = NATIVE_HEIGHT
     background_temp: float = 22.0
     noise_sigma: float = 0.3
     start_ts: int = 0
@@ -235,8 +236,8 @@ def _render(scene: SceneSpec, rng: np.random.Generator, width: int,
     return ThermalFrame(width, height, raw_from_celsius(temps), ts), gts
 
 
-def generate_scene(scene: SceneSpec, seed: int = 0, width: int = 128,
-                   height: int = 96, ts: int = 0):
+def generate_scene(scene: SceneSpec, seed: int = 0, width: int = NATIVE_WIDTH,
+                   height: int = NATIVE_HEIGHT, ts: int = 0):
     """Render one scene with its own generator; returns (frame, gts)."""
     rng = np.random.default_rng(seed)
     return _render(scene, rng, width, height, ts)

@@ -19,14 +19,6 @@ def round_half_away(x: float) -> int:
     return -int(math.floor(-x + 0.5))
 
 
-def clamp(x: float, lo: float, hi: float) -> float:
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
-
-
 def make_dirs(path: str) -> None:
     """os.makedirs(exist_ok=True), raising DataIOError on failure."""
     try:

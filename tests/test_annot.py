@@ -4,10 +4,10 @@ import pytest
 
 from thermocc.annot import (Detection, GroundTruthBox, NormalizedBox,
                             from_pixel_box, parse_labels, parse_predictions,
-                            serialize_labels, serialize_predictions,
-                            to_pixel_box)
+                            serialize_labels, serialize_predictions)
 from thermocc.errors import (AnnotationParseError, BoxRangeError,
                              DegenerateBoxError, ThermoccError)
+from thermocc.metrics import to_pixel_box
 
 
 def test_parse_labels_empty_means_no_objects():

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermocc
-from thermocc.annot import (Detection, NormalizedBox, PixelBox,
-                            from_pixel_box, to_pixel_box)
+from thermocc.annot import Detection, NormalizedBox, PixelBox, from_pixel_box
 from thermocc.detect import (DEFAULT_CONFIG, DetectorConfig, _warm_components,
                              detect_blobs, detect_manifest, nms, score_blob)
 from thermocc.errors import ConfigError, DegenerateBoxError
@@ -20,6 +19,7 @@ from thermocc.frame import ThermalFrame, celsius_from_raw, decode_frame, \
     encode_frame, raw_from_celsius, read_frame
 from thermocc.manifest import (ManifestRecord, prediction_filenames,
                                read_manifest, resolve)
+from thermocc.metrics import to_pixel_box
 from thermocc.synth import (DatasetSpec, FRONTAL_SCENARIOS, generate_dataset,
                             plan_dataset, render_frame)
 

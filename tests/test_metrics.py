@@ -6,13 +6,13 @@ import pytest
 
 from thermocc.annot import (Detection, GroundTruthBox, NormalizedBox,
                             PixelBox, serialize_labels,
-                            serialize_predictions, to_pixel_box)
+                            serialize_predictions)
 from thermocc import metrics
 from thermocc.errors import ConfigError, DegenerateBoxError
 from thermocc.manifest import ManifestRecord, write_manifest
 from thermocc.metrics import (MAP_THRESHOLDS, average_precision, evaluate,
                               iou, load_samples, map_range, match_detections,
-                              pr_curve, precision_recall)
+                              pr_curve, precision_recall, to_pixel_box)
 
 from oracle import naive_ap, naive_curve, oracle_match
 

@@ -126,8 +126,6 @@ class DatasetSpec:
     occupied_fraction: float = DEFAULT_OCCUPIED_FRACTION
     scenarios: tuple[Scenario, ...] = MIXED_SCENARIOS
     seed: int = 0
-    width: int = NATIVE_WIDTH
-    height: int = NATIVE_HEIGHT
     background_temp: float = 22.0
     noise_sigma: float = 0.3
     start_ts: int = 0
@@ -142,8 +140,6 @@ class DatasetSpec:
             raise SceneSpecError("need at least one scenario")
         if self.seed < 0:
             raise SceneSpecError("seed must be non-negative")
-        if self.width < 8 or self.height < 8:
-            raise SceneSpecError("frames must be at least 8x8")
         _check_background(self.background_temp, self.noise_sigma)
         if self.period < 1:
             raise SceneSpecError("frame period must be at least 1 s")
@@ -170,9 +166,6 @@ def _occlusion_cut(fraction: float) -> float:
     is (acos(c) - c*sqrt(1 - c^2)) / pi; solved by bisection, which is
     exact enough (1e-12) and has no seed or library dependence.
     """
-    if fraction <= 0.0:
-        return 1.0
-
     def below(c: float) -> float:
         return (math.acos(c) - c * math.sqrt(1.0 - c * c)) / math.pi
 
@@ -236,11 +229,10 @@ def _render(scene: SceneSpec, rng: np.random.Generator, width: int,
     return ThermalFrame(width, height, raw_from_celsius(temps), ts), gts
 
 
-def generate_scene(scene: SceneSpec, seed: int = 0, width: int = NATIVE_WIDTH,
-                   height: int = NATIVE_HEIGHT, ts: int = 0):
-    """Render one scene with its own generator; returns (frame, gts)."""
+def generate_scene(scene: SceneSpec, seed: int = 0):
+    """Render one scene at ts 0 with its own generator; returns (frame, gts)."""
     rng = np.random.default_rng(seed)
-    return _render(scene, rng, width, height, ts)
+    return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, 0)
 
 
 def plan_dataset(spec: DatasetSpec) -> list[FramePlan]:
@@ -301,7 +293,7 @@ def render_frame(spec: DatasetSpec,
                         occlusion=scenario.occlusion)
     scene = SceneSpec(background_temp=bg, noise_sigma=spec.noise_sigma,
                       head=head)
-    return _render(scene, rng, spec.width, spec.height, plan.ts)
+    return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, plan.ts)
 
 
 def manifest_records(plans: list[FramePlan]) -> list[ManifestRecord]:

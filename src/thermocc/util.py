@@ -9,14 +9,13 @@ from .errors import DataIOError
 
 
 def round_half_away(x: float) -> int:
-    """Round to the nearest integer with halves going away from zero.
+    """Round x >= 0 to the nearest integer, halves up.
 
     Python's built-in round() rounds halves to even, which is the wrong
-    convention for subset sizing and pixel quantization here.
+    convention for subset sizing; the callers pass a count times a
+    fraction, which is never negative.
     """
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
+    return int(math.floor(x + 0.5))
 
 
 def make_dirs(path: str) -> None:

@@ -200,12 +200,27 @@ def test_exit_codes(tmp_path, frontal_dataset, capsys, monkeypatch):
     assert not (tmp_path / "s").exists()
 
 
-def test_bad_fractions_fail_cleanly(tmp_path, frontal_dataset):
+def test_bad_fractions_fail_cleanly(tmp_path, frontal_dataset, capsys):
     out = str(tmp_path / "splits")
     assert main(["split", "--manifest", frontal_dataset, "--out", out,
                  "--fractions", "0.5,0.5"]) == 1
     assert main(["split", "--manifest", frontal_dataset, "--out", out,
                  "--fractions", "0.5,0.4,0.3"]) == 1
+    capsys.readouterr()
+    assert main(["split", "--manifest", frontal_dataset, "--out", out,
+                 "--fractions", "a,b,c"]) == 1
+    err = capsys.readouterr().err
+    assert "fractions must be numeric, got 'a,b,c'" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_synth_refuses_a_zero_period(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--frames", "4",
+                 "--period", "0"]) == 1
+    assert "frame period must be at least 1 s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_tau_fails_cleanly(tmp_path, frontal_dataset):

@@ -141,6 +141,19 @@ def test_detect_subthreshold_blob_ignored():
     assert detect_blobs(frame_from_celsius(temps)) == []
 
 
+def test_zero_confidence_component_is_dropped():
+    """A blob above the warm contour whose area and aspect both score 1
+    but whose mean is under t_warm scores 0 and is dropped; with t_warm
+    lowered under its mean the same blob is kept."""
+    temps = np.full((96, 128), 22.0)
+    temps[40:56, 50:70] = 27.5  # 20 wide, 16 tall: aspect 0.8
+    frame = frame_from_celsius(temps)
+    assert detect_blobs(frame, DetectorConfig(warm_threshold=27.0)) == []
+    det, = detect_blobs(frame, DetectorConfig(warm_threshold=27.0,
+                                              t_warm=27.0))
+    assert det.confidence == pytest.approx(0.5 / 7)
+
+
 def test_component_boxes_match_bfs_oracle():
     """Component bounding boxes must equal a brute-force 4-connected
     flood fill, including diagonal-only neighbours staying separate."""

@@ -5,7 +5,7 @@ from thermocc.errors import (FrameFormatError, FrameIOError,
                              FrameMetadataError, FrameTruncationError)
 from thermocc.frame import (CENTI_KELVIN_OFFSET, ThermalFrame,
                             celsius_from_raw, decode_frame, encode_frame,
-                            raw_from_celsius, read_frame)
+                            raw_from_celsius, read_frame, write_frame)
 
 
 def make_frame(width, height, celsius, ts=0):
@@ -93,6 +93,23 @@ def test_roundtrip_random_frames():
 def test_frame_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         ThermalFrame(2, 2, np.zeros((3, 2), dtype=np.uint16), 0)
+
+
+def test_frame_rejects_a_zero_dimension():
+    # the array matches the shape, so only the dimension check refuses it
+    with pytest.raises(ValueError, match="at least 1x1"):
+        ThermalFrame(0, 1, np.zeros((1, 0), dtype=np.uint16), 0)
+
+
+def test_frame_is_not_equal_to_another_type():
+    frame = make_frame(2, 2, 24.0)
+    assert (frame == object()) is False
+    assert frame != "frame"
+
+
+def test_write_frame_into_missing_directory(tmp_path):
+    with pytest.raises(FrameIOError, match="cannot write frame"):
+        write_frame(str(tmp_path / "missing" / "a.pgm"), make_frame(2, 2, 24.0))
 
 
 def test_read_frame_missing_file(tmp_path):

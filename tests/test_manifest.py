@@ -54,6 +54,22 @@ def test_rejects_wrong_types(tmp_path):
         read_manifest(str(path))
 
 
+def test_rejects_a_line_that_is_not_an_object(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('[1, 2]\n')
+    with pytest.raises(ManifestError, match=r":1: expected a JSON object$"):
+        read_manifest(str(path))
+
+
+def test_rejects_labels_that_are_not_a_string(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"frame": "a.pgm", "labels": 5, "occupied": true, '
+                    '"ts": 0}\n')
+    with pytest.raises(ManifestError,
+                       match="labels path must be a string or null"):
+        read_manifest(str(path))
+
+
 def test_rejects_blank_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame": "a.pgm", "labels": null, "occupied": true, '

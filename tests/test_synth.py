@@ -45,6 +45,10 @@ def test_scene_and_dataset_validation():
         DatasetSpec(frames=10, occupied_fraction=1.5)
     with pytest.raises(SceneSpecError):
         DatasetSpec(frames=10, seed=-1)
+    with pytest.raises(SceneSpecError, match="need at least one scenario"):
+        DatasetSpec(frames=10, scenarios=())
+    with pytest.raises(SceneSpecError, match="frame period must be at least"):
+        DatasetSpec(frames=10, period=0)
     nan, inf = float("nan"), float("inf")
     for bad in ({"background_temp": nan}, {"background_temp": inf},
                 {"background_temp": -inf}, {"noise_sigma": nan},

@@ -28,7 +28,7 @@ from .errors import SceneSpecError
 from .frame import (NATIVE_HEIGHT, NATIVE_WIDTH, ThermalFrame,
                     raw_from_celsius, write_frame)
 from .manifest import ManifestRecord, write_manifest
-from .util import make_dirs, round_half_away, write_text
+from .util import fork_map, make_dirs, round_half_away, write_text
 
 ORIENTATIONS = ("frontal", "side", "down")
 _ORIENT_SCALE = {"frontal": (1.0, 1.0), "side": (0.55, 1.0),
@@ -316,6 +316,11 @@ def write_planned_frame(spec: DatasetSpec, plan: FramePlan,
     return frame, labels
 
 
+def _write_frame(spec: DatasetSpec, out_dir: str, plan: FramePlan) -> None:
+    """write_planned_frame for a worker: it sends no 24 KB frame back."""
+    write_planned_frame(spec, plan, out_dir)
+
+
 def make_dataset_dirs(out_dir: str, records: list[ManifestRecord]) -> str:
     """Make the subdirectories of out_dir that records' frames and labels
     go in; returns the path of out_dir's manifest."""
@@ -327,12 +332,11 @@ def make_dataset_dirs(out_dir: str, records: list[ManifestRecord]) -> str:
 
 def generate_dataset(spec: DatasetSpec, out_dir: str) -> str:
     """Write spec's frames/, labels/ and manifest.jsonl; returns its path.
-    Each frame draws from its own (seed, index) stream, so frames can be
-    written in any order and process (see write_planned_frame)."""
+    Each frame draws from its own (seed, index) stream, so util.fork_map
+    writes them in any order and process, before the manifest."""
     plans = plan_dataset(spec)
     records = manifest_records(plans)
     manifest_path = make_dataset_dirs(out_dir, records)
-    for plan in plans:
-        write_planned_frame(spec, plan, out_dir)
+    fork_map(functools.partial(_write_frame, spec, out_dir), plans, len(plans))
     write_manifest(manifest_path, records)
     return manifest_path

@@ -4,6 +4,7 @@ import contextlib
 import math
 import os
 import shutil
+import threading
 
 from .errors import DataIOError
 
@@ -84,14 +85,15 @@ def fork_map(fn, items, workers: int) -> list:
     CPUs this process may run on, each of that many forked processes maps
     one contiguous share (fn, items and results must pickle). fork skips
     the package import spawn repeats per worker, but copies only the
-    calling thread; the executor forks all its workers before it starts
-    its manager thread and thermocc starts no threads, so only a caller's
-    threads could hold a lock the workers need. Without fork, items are
-    mapped here. A worker that dies raises DataIOError."""
+    calling thread, and another thread could hold a lock the workers
+    need; the executor forks all its workers before it starts its
+    manager thread. So without fork, or in a caller with more than one
+    thread, items are mapped here. A worker that dies raises DataIOError."""
     workers = min(workers, len(items), len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     import multiprocessing  # here, so importing the package stays light
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if (workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

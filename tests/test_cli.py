@@ -327,6 +327,28 @@ def test_killed_synth_worker_fails_the_run(tmp_path):
     assert not list(tmp_path.glob("run.*.partial"))
 
 
+def test_killed_worker_fails_synth(tmp_path):
+    """synth's frames are written by forked workers too: one killed by a
+    signal ends synth with exit 1 and leaves no --out."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thermocc.__file__)))
+    code = ("import os, signal, sys\n"
+            "import thermocc.synth\n"
+            "from thermocc.cli import main\n"
+            "def die(*args, **kwargs):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "thermocc.synth.render_frame = die\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "synth", "--frames", "40",
+         "--out", str(tmp_path / "data")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "worker" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_late_pipeline_failure_leaves_nothing(tmp_path, capsys):
     """A run that fails after its first write, here because no frame is
     occupied and eval has nothing to score, leaves neither --out nor its
@@ -354,6 +376,27 @@ def test_worker_write_error_reaches_caller(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / f"t{threads}")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame_000001.pgm" in err
+
+
+def test_synth_write_error_reaches_caller(tmp_path, capsys, monkeypatch):
+    """A frame synth cannot write fails it with exit 1, names the file and
+    leaves no --out, whether it was written here or in a worker."""
+    write_frame = thermocc.synth.write_frame
+
+    def full_disk_for_frame_1(path, frame):
+        if os.path.basename(path) == "frame_000001.pgm":
+            raise FrameIOError(f"cannot write frame {path}: disk full")
+        write_frame(path, frame)
+
+    monkeypatch.setattr(thermocc.synth, "write_frame", full_disk_for_frame_1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)), raising=False)
+        assert main(["synth", "--frames", "40",
+                     "--out", str(tmp_path / f"cpus{cpus}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frame_000001.pgm" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,

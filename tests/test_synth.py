@@ -1,11 +1,14 @@
 import math
+import multiprocessing.context
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
 from thermocc import synth
+from thermocc.cli import main
 from thermocc.errors import SceneSpecError
 from thermocc.frame import encode_frame, raw_from_celsius
 from thermocc.manifest import read_manifest, resolve
@@ -243,24 +246,65 @@ def test_generate_dataset_layout(tmp_path):
             assert label_text == "", "empty frame must have a blank file"
 
 
-def test_generate_dataset_reproducible(tmp_path):
+def _tree_bytes(root):
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            full = os.path.join(dirpath, name)
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
+    return out
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _fork_starts(monkeypatch):
+    """Record the thread count at each forked worker's start."""
+    seen = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        seen.append(threading.active_count())
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        counting_start)
+    return seen
+
+
+def test_generate_dataset_reproducible(tmp_path, monkeypatch):
+    """The same bytes from one process and from two forked workers, and
+    the same as a pipeline run's dataset/."""
     spec = DatasetSpec(frames=31, seed=4)
-
-    def tree_bytes(root):
-        out = {}
-        for dirpath, _, names in os.walk(root):
-            for name in names:
-                full = os.path.join(dirpath, name)
-                with open(full, "rb") as fh:
-                    out[os.path.relpath(full, root)] = fh.read()
-        return out
-
+    starts = _fork_starts(monkeypatch)
     trees = []
-    for run in range(2):
-        manifest = generate_dataset(spec, str(tmp_path / f"run{run}"))
-        trees.append(tree_bytes(os.path.dirname(manifest)))
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        manifest = generate_dataset(spec, str(tmp_path / f"cpus{cpus}"))
+        trees.append(_tree_bytes(os.path.dirname(manifest)))
+    assert len(starts) == 2  # one CPU maps here; two fork two workers
+    assert main(["pipeline", "--frames", "31", "--seed", "4",
+                 "--out", str(tmp_path / "run")]) == 0
+    trees.append(_tree_bytes(str(tmp_path / "run" / "dataset")))
     assert len(trees[0]) == 2 * 31 + 1
     assert trees[1] == trees[0]
+    assert trees[2] == trees[0]
+
+
+def test_generate_dataset_forks_on_every_call(tmp_path, monkeypatch):
+    """Each call joins its pool, manager thread included, so the next call
+    forks too instead of mapping in one process."""
+    _usable_cpus(monkeypatch, 2)
+    starts = _fork_starts(monkeypatch)
+    baseline = threading.active_count()
+    for run in range(2):
+        generate_dataset(DatasetSpec(frames=6, seed=1),
+                         str(tmp_path / f"run{run}"))
+        assert threading.active_count() == baseline
+    assert starts == [baseline] * 4
 
 
 def test_scenario_presets():

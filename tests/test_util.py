@@ -49,6 +49,21 @@ def test_fork_map_forks_before_any_thread_starts(monkeypatch):
     assert seen == [baseline] * 3
 
 
+def test_fork_map_maps_here_in_a_threaded_caller():
+    """fork copies only the calling thread, so while another thread lives
+    fork_map maps in this process: the same results, every pid ours."""
+    stop = threading.Event()
+    helper = threading.Thread(target=stop.wait)
+    helper.start()
+    try:
+        out = fork_map(_tag, list(range(7)), 3)
+    finally:
+        stop.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+    assert out == [(x, os.getpid()) for x in range(7)]
+
+
 @pytest.mark.parametrize("affinity, cpu_count, pool", [
     (2, None, [2]), (1, None, []),
     # without sched_getaffinity, os.cpu_count() or 1

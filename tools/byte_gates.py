@@ -10,6 +10,9 @@ tests/golden/byte_gates.sha256 holds one `digest  name` line per gate:
       (cd RUN && find . -type f -exec sha256sum {} + \\
           | LC_ALL=C sort -k2 | sha256sum)
 
+- `synth seed 0`: the listing digest of `thermocc synth --frames 4836
+  --seed 0`, which must equal that of the seed 0 pipeline run's
+  dataset/ (the check fails at once if it does not);
 - `occupancy`: the listing digest of the `thermocc occupancy` output
   for the seed 0 run's splits/test.jsonl and preds/;
 - `detect --warm-threshold 29 --nms-iou 0.3`: the listing digest of
@@ -93,6 +96,13 @@ def gates(work: str):
                  "--threads", threads)
             yield f"pipeline seed {seed} threads {threads}", listing_digest(run)
     run = os.path.join(work, "pipeline_0_1")
+    out = os.path.join(work, "synth")
+    _run("synth", "--out", out, "--frames", "4836", "--seed", "0")
+    digest = listing_digest(out)
+    if digest != listing_digest(os.path.join(run, "dataset")):
+        raise SystemExit("synth seed 0 differs from the seed 0 pipeline "
+                         "run's dataset/")
+    yield "synth seed 0", digest
     out = os.path.join(work, "occupancy")
     _run("occupancy", "--manifest", os.path.join(run, "splits", "test.jsonl"),
          "--preds", os.path.join(run, "preds"), "--out", out)

@@ -1,7 +1,7 @@
 """Run the perfbench workloads on one or more checkouts; write BENCH_<n>.json.
 
     python tools/bench.py [--rounds R] [--seconds T] [--seed S ...]
-                          [--workload NAME ...] N=CHECKOUT [N=CHECKOUT ...]
+                          N=CHECKOUT [N=CHECKOUT ...]
 
 Each round runs `perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once for every workload, seed and checkout, from the
@@ -94,7 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument("--workload", choices=WORKLOADS, action="append")
     parser.add_argument("targets", nargs="+", metavar="N=CHECKOUT")
     args = parser.parse_args(argv)
     targets = []
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
     correct = True
     for r in range(args.rounds):
         order = targets if r % 2 == 0 else targets[::-1]
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             for seed in seeds:
                 for k, (number, checkout) in enumerate(order):
                     rec = _run(checkout, workload, seed, args.seconds)

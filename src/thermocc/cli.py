@@ -22,7 +22,7 @@ from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
                      detect_manifest)
 from .errors import ConfigError, ThermoccError
 from .manifest import (ManifestRecord, prediction_filenames, read_manifest,
-                       record_dir, write_manifest)
+                       resolve, write_manifest)
 from .metrics import DEFAULT_TAU, check_tau, evaluate, load_samples
 from .occupancy import (ControlPolicy, compare, detection_timeline,
                         manifest_timeline, simulate_control,
@@ -91,17 +91,18 @@ def _write_split(records, assignment, manifest_path: str, out_dir: str):
     """Split stage: subset manifests rebased onto out_dir; writes and
     returns the ratio report."""
     make_dirs(out_dir)
-    base, out_abs = record_dir(manifest_path), os.path.abspath(out_dir)
-
-    def rebase(path):  # relpath per path: one shared rebase is not the same
-        return None if path is None else os.path.relpath(
-            os.path.join(base, path), out_abs)
-
+    out_abs = os.path.abspath(out_dir)
     for name, indices in assignment.subsets().items():
-        subset = [records[i] for i in indices]
-        write_manifest(os.path.join(out_dir, f"{name}.jsonl"), [
-            ManifestRecord(rebase(r.frame), rebase(r.labels), r.occupied, r.ts)
-            for r in subset])
+        subset = []
+        for i in indices:
+            rec = records[i]
+            labels = rec.labels
+            if labels is not None:
+                labels = os.path.relpath(resolve(manifest_path, labels), out_abs)
+            subset.append(ManifestRecord(
+                frame=os.path.relpath(resolve(manifest_path, rec.frame), out_abs),
+                labels=labels, occupied=rec.occupied, ts=rec.ts))
+        write_manifest(os.path.join(out_dir, f"{name}.jsonl"), subset)
     report = verify_ratio(assignment, records)
     write_text_atomic(os.path.join(out_dir, "ratio_report.json"),
                       json.dumps(report.to_dict(), indent=2) + "\n")

@@ -76,13 +76,9 @@ def write_manifest(path: str, records: list[ManifestRecord]) -> None:
     write_text_atomic(path, "\n".join(out + [""]))
 
 
-def record_dir(manifest_path: str) -> str:
-    return os.path.dirname(os.path.abspath(manifest_path))
-
-
 def resolve(manifest_path: str, relative: str) -> str:
     """Resolve a record path against the manifest's directory."""
-    return os.path.join(record_dir(manifest_path), relative)
+    return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), relative)
 
 
 def prediction_filenames(records: list[ManifestRecord]) -> list[str]:

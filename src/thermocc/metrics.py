@@ -17,7 +17,7 @@ from .annot import Detection, GroundTruthBox, NormalizedBox, PixelBox, \
     parse_labels, parse_predictions
 from .errors import ConfigError, DegenerateBoxError
 from .frame import NATIVE_HEIGHT, NATIVE_WIDTH
-from .manifest import ManifestRecord, prediction_filenames, record_dir
+from .manifest import ManifestRecord, prediction_filenames, resolve
 from .util import read_text
 
 # IoU thresholds for the mAP ladder: 0.50 to 0.95 in 0.05 steps.
@@ -287,13 +287,12 @@ def load_samples(records: list[ManifestRecord], preds_dir: str,
     names = prediction_filenames(records)
     if not os.path.isdir(preds_dir):
         raise ConfigError(f"predictions directory {preds_dir} is missing")
-    base = record_dir(manifest_path)
     samples = []
     missing = 0
     for rec, name in zip(records, names):
         gts = []
         if rec.labels is not None:
-            gts = parse_labels(read_text(os.path.join(base, rec.labels)))
+            gts = parse_labels(read_text(resolve(manifest_path, rec.labels)))
         pred_path = os.path.join(preds_dir, name)
         preds = []
         if os.path.exists(pred_path):

@@ -1,27 +1,27 @@
 """Run the perfbench workloads on one or more checkouts; write BENCH_<n>.json.
 
-    python tools/bench.py [--rounds R] [--seconds T] [--seed S ...]
-                          N=CHECKOUT [N=CHECKOUT ...]
+    python tools/bench.py [--seed S ...] N=CHECKOUT [N=CHECKOUT ...]
 
-Each round runs `perfbench/run.py --workload W --seed S --seconds T
---trace 0` once for every workload, seed and checkout, from the
-checkout's root, and reads the full record that the run leaves under
-the checkout's `.perfbench/results/`. Within a round the workloads take
-turns, and the checkouts run in the given order on even rounds and in
-reverse order on odd ones. So with a parent and a change, every round
-holds one pair per workload and seed, and each side runs first in half
-of the pairs: the host's speed drifts, and pairs taken together see the
-same drift.
+Each of ten rounds runs `perfbench/run.py --workload W --seed S
+--trace 0` (at perfbench's own run length) once for every workload,
+seed and checkout, from the checkout's root, and reads the full record
+that the run adds to the checkout's `.perfbench/results/`. A run that
+exits non-zero, or adds no single record, is kept as a failed run and
+the rounds go on. Within a round the workloads take turns, and the
+checkouts run in the given order on even rounds and in reverse order on
+odd ones. So with a parent and a change, every round holds one pair per
+workload and seed, and each side runs first in half of the pairs: the
+host's speed drifts, and pairs taken together see the same drift.
 
 BENCH_N.json, at the root of the repository this script is in, holds
 for its checkout: the commit (and whether tracked files differed from
 it), the command, the host's nproc and usable CPUs, the Python, numpy
 and scipy versions, and, per workload and seed, the median, quartiles,
-min and max of each end-to-end metric over the rounds, followed by
-every run: its round, whether it ran first, `correct`, `attempted`,
-`failed`, the output digest, its metrics, its set-up times, and each
-repeat's wall time and `host_probe_ms`. Only the standard library is
-used.
+min and max of each end-to-end metric over the runs that finished,
+followed by every run: its round, whether it ran first, `correct`,
+its exit status, and, when it finished, `attempted`, `failed`, the
+output digest, its metrics, its set-up times, and each repeat's wall
+time and `host_probe_ms`. Only the standard library is used.
 
 Exit 0 when every run printed `correct` true with 0 failed, else 1.
 """
@@ -29,7 +29,6 @@ Exit 0 when every run printed `correct` true with 0 failed, else 1.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import statistics
@@ -38,6 +37,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("pipeline_ref", "online_frames", "eval_crowded")
+ROUNDS = 10
 
 
 def _git(checkout: str, *args: str) -> str | None:
@@ -48,22 +48,23 @@ def _git(checkout: str, *args: str) -> str | None:
         return None
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its record, with the result line's `correct`."""
-    proc = subprocess.Popen(
+def _run(checkout: str, workload: str, seed: int) -> dict:
+    """One perfbench run: the record it added, with the result line's
+    `correct` and its exit status; no record when it added none."""
+    results = os.path.join(checkout, ".perfbench", "results")
+    before = set(os.listdir(results)) if os.path.isdir(results) else set()
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
-    out, _ = proc.communicate()
-    if proc.returncode != 0:
-        raise SystemExit(f"perfbench/run.py exited {proc.returncode} "
-                         f"in {checkout}")
-    pattern = os.path.join(checkout, ".perfbench", "results",
-                           f"{workload}_s{seed}_t0_*_{proc.pid}.json")
-    path, = glob.glob(pattern)
-    with open(path, encoding="utf-8") as fh:
+    added = (set(os.listdir(results)) - before
+             if os.path.isdir(results) else set())
+    if proc.returncode != 0 or len(added) != 1:
+        return {"exit": proc.returncode, "correct": False}
+    with open(os.path.join(results, added.pop()), encoding="utf-8") as fh:
         record = json.load(fh)
-    record["correct"] = json.loads(out.splitlines()[-1])["correct"]
+    record["exit"] = 0
+    record["correct"] = json.loads(proc.stdout.splitlines()[-1])["correct"]
     return record
 
 
@@ -77,22 +78,20 @@ def _summary(values: list[float]) -> dict:
 def _report(commit, dirty, command, env, runs_by_key) -> dict:
     workloads: dict = {}
     for (workload, seed), runs in runs_by_key.items():
-        names = list(runs[0]["metrics"])
+        done = [r["metrics"] for r in runs if "metrics" in r]
         workloads.setdefault(workload, {})[f"seed {seed}"] = {
-            "summary": {name: _summary([r["metrics"][name] for r in runs])
-                        for name in names},
+            "summary": {name: _summary([m[name] for m in done])
+                        for name in (done[0] if done else ())},
             "runs": runs}
     return {"commit": commit, "dirty": dirty, "command": command,
-            "nproc": env["nproc"], "cpus_allowed": env["cpus_allowed"],
-            "python": env["python"], "numpy": env["numpy"],
-            "scipy": env["scipy"], "platform": env["platform"],
+            **{key: env.get(key) for key in ("nproc", "cpus_allowed",
+                                             "python", "numpy", "scipy",
+                                             "platform")},
             "workloads": workloads}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("targets", nargs="+", metavar="N=CHECKOUT")
     args = parser.parse_args(argv)
@@ -104,33 +103,36 @@ def main(argv=None) -> int:
             parser.error(f"{text!r} is not N=CHECKOUT with perfbench/run.py")
         targets.append((int(number), os.path.abspath(checkout)))
     seeds = args.seed or [0]
-    command = (f"perfbench/run.py --seconds {args.seconds:g} --trace 0 "
-               f"--workload W --seed S")
+    command = "perfbench/run.py --trace 0 --workload W --seed S"
 
     runs = {number: {} for number, _ in targets}
     env = {}
     correct = True
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = targets if r % 2 == 0 else targets[::-1]
         for workload in WORKLOADS:
             for seed in seeds:
                 for k, (number, checkout) in enumerate(order):
-                    rec = _run(checkout, workload, seed, args.seconds)
-                    env.setdefault(number, rec["environment"])
-                    ok = rec["correct"] and rec["failed"] == 0
+                    rec = _run(checkout, workload, seed)
+                    ok = rec["correct"] and rec.get("failed") == 0
                     correct = correct and ok
-                    runs[number].setdefault((workload, seed), []).append({
-                        "round": r, "first": k == 0, "correct": ok,
-                        "attempted": rec["attempted"],
-                        "failed": rec["failed"],
-                        "output_sha256": rec["output_sha256"],
-                        "metrics": rec["metrics"], "setup_s": rec["setup_s"],
-                        "repeats": [{"wall_s": x["wall_s"],
-                                     "host_probe_ms": x["host_probe_ms"]}
-                                    for x in rec["repeats"]]})
+                    run = {"round": r, "first": k == 0, "correct": ok,
+                           "exit": rec["exit"]}
+                    if "metrics" in rec:
+                        env.setdefault(number, rec["environment"])
+                        run.update(
+                            attempted=rec["attempted"], failed=rec["failed"],
+                            output_sha256=rec["output_sha256"],
+                            metrics=rec["metrics"], setup_s=rec["setup_s"],
+                            repeats=[{"wall_s": x["wall_s"],
+                                      "host_probe_ms": x["host_probe_ms"]}
+                                     for x in rec["repeats"]])
+                    runs[number].setdefault((workload, seed), []).append(run)
                     print(f"round {r} {workload} seed {seed} BENCH_{number}: "
-                          + "  ".join(f"{n} {v:.4g}"
-                                      for n, v in rec["metrics"].items()),
+                          + ("  ".join(f"{n} {v:.4g}"
+                                       for n, v in rec["metrics"].items())
+                             if "metrics" in rec else
+                             f"failed, exit {rec['exit']}"),
                           file=sys.stderr)
 
     for number, checkout in targets:
@@ -138,7 +140,7 @@ def main(argv=None) -> int:
                       "--untracked-files=no")
         report = _report(_git(checkout, "rev-parse", "HEAD"),
                          None if status is None else bool(status), command,
-                         env[number], runs[number])
+                         env.get(number, {}), runs[number])
         with open(os.path.join(ROOT, f"BENCH_{number}.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)

@@ -109,15 +109,16 @@ def _write_split(records, assignment, manifest_path: str, out_dir: str):
     return report
 
 
-def _pipeline_frame(spec, dataset_dir: str, preds_dir: str, test, plan):
+def _pipeline_frame(spec, dataset_dir: str, preds_dir: str, test, planned):
     """Write a planned frame, and a test frame's predictions; returns a test
     frame's (predictions, gts) as `eval` reads them back, else None. The
     codec is lossless: detecting on the frame equals detecting on its file."""
-    frame, labels = write_planned_frame(spec, plan, dataset_dir)
-    if plan.index not in test:
+    index, scenario = planned
+    frame, labels = write_planned_frame(spec, index, scenario, dataset_dir)
+    if index not in test:
         return None
     text = serialize_predictions(detect_blobs(frame, DEFAULT_CONFIG))
-    name, = prediction_filenames(manifest_records([plan]))
+    name, = prediction_filenames(manifest_records(spec, [planned]))
     write_text(os.path.join(preds_dir, name), text)
     return parse_predictions(text), parse_labels(labels)
 
@@ -226,8 +227,8 @@ def cmd_pipeline(args) -> int:
     check_tau(args.tau)
     policy = ControlPolicy(on_delay=args.on_delay, off_hold=args.off_hold)
     spec = _dataset_spec(args)
-    plans = plan_dataset(spec)
-    records = manifest_records(plans)
+    plans = list(enumerate(plan_dataset(spec)))
+    records = manifest_records(spec, plans)
     assignment = stratified_split(records, args.fractions, args.seed)
     if not assignment.test:
         raise ConfigError("the split leaves the test subset empty")

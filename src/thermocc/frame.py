@@ -55,7 +55,13 @@ class ThermalFrame:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("frame dimensions must be at least 1x1")
-        arr = np.ascontiguousarray(self.temps, dtype=np.uint16)
+        temps = np.asarray(self.temps)
+        if temps.dtype != np.uint16:
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to anything
+                counts = temps.astype(np.uint16)
+            if not np.array_equal(counts, temps):
+                raise ValueError("temps must hold integer counts in 0..65535")
+        arr = np.ascontiguousarray(temps, dtype=np.uint16)
         if arr.shape != (self.height, self.width):
             raise ValueError(
                 f"temps shape {arr.shape} does not match "

@@ -105,9 +105,9 @@ def stratum_counts(n: int, fractions: SplitFractions) -> tuple[int, int, int]:
     return n_train, n_val, n_test
 
 
-def _occupancy_flags(records) -> list[bool]:
-    return [r.occupied if isinstance(r, ManifestRecord) else bool(r)
-            for r in records]
+def _occupancy_flags(records) -> np.ndarray:
+    return np.fromiter((r.occupied if isinstance(r, ManifestRecord)
+                        else bool(r) for r in records), dtype=bool)
 
 
 def stratified_split(records, fractions: SplitFractions = DEFAULT_FRACTIONS,
@@ -122,22 +122,17 @@ def stratified_split(records, fractions: SplitFractions = DEFAULT_FRACTIONS,
     if seed < 0:
         raise SplitConfigError(f"seed must be non-negative, got {seed}")
     flags = _occupancy_flags(records)
-    if not flags:
+    if not flags.size:
         raise InfeasibleSplitError("manifest is empty")
     rng = np.random.default_rng(seed)
-    parts: dict[str, list[int]] = {name: [] for name in SUBSET_NAMES}
-    for value in (True, False):
-        idx = np.array([i for i, f in enumerate(flags) if f == value],
-                       dtype=np.int64)
-        if idx.size == 0:
-            continue
-        n_train, n_val, _ = stratum_counts(int(idx.size), fractions)
-        rng.shuffle(idx)
-        parts["train"] += idx[:n_train].tolist()
-        parts["val"] += idx[n_train:n_train + n_val].tolist()
-        parts["test"] += idx[n_train + n_val:].tolist()
-    return SplitAssignment(*(tuple(sorted(parts[name]))
-                             for name in SUBSET_NAMES))
+    strata = []
+    for idx in (np.flatnonzero(flags), np.flatnonzero(~flags)):
+        if idx.size:
+            n_train, n_val, _ = stratum_counts(idx.size, fractions)
+            rng.shuffle(idx)
+            strata.append(np.split(idx, [n_train, n_train + n_val]))
+    return SplitAssignment(*(tuple(np.sort(np.concatenate(parts)).tolist())
+                             for parts in zip(*strata)))
 
 
 def verify_ratio(assignment: SplitAssignment, records) -> RatioReport:
@@ -155,17 +150,17 @@ def verify_ratio(assignment: SplitAssignment, records) -> RatioReport:
     if combined != list(range(len(flags))):
         raise AssignmentIntegrityError(
             "subsets must partition the manifest indices exactly")
-    occ_total = sum(flags)
-    unocc_total = len(flags) - occ_total
+    occ_total = int(flags.sum())
+    unocc_total = flags.size - occ_total
     overall = _stats(occ_total, unocc_total, consistent=True)
     subsets = {}
     for name, indices in assignment.subsets().items():
-        occ = sum(flags[i] for i in indices)
+        occ = int(flags[list(indices)].sum())
         unocc = len(indices) - occ
         if unocc_total == 0:
             ok = unocc == 0
         else:
-            share = len(indices) / len(flags)
+            share = len(indices) / flags.size
             ok = (unocc > 0
                   and abs(occ - occ_total * share) <= 1.0
                   and abs(unocc - unocc_total * share) <= 1.0)

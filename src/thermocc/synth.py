@@ -41,6 +41,8 @@ HEAD_CORE = 0.9
 HEAD_EDGE = 0.6
 
 DEFAULT_OCCUPIED_FRACTION = 3.75 / 4.75
+BACKGROUND_DRIFT = 0.3  # C either way, from DatasetSpec.background_temp
+HEAD_PEAK = 34.0  # C, every head's peak unless a HeadSpec says otherwise
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class HeadSpec:
     cy: float
     rx: float
     ry: float
-    peak_temp: float = 34.0
+    peak_temp: float = HEAD_PEAK
     orientation: str = "frontal"
     occlusion: float = 0.0
 
@@ -141,16 +143,16 @@ class DatasetSpec:
         if self.seed < 0:
             raise SceneSpecError("seed must be non-negative")
         _check_background(self.background_temp, self.noise_sigma)
+        if not (self.background_temp + BACKGROUND_DRIFT < HEAD_PEAK
+                and self.background_temp - BACKGROUND_DRIFT >= -273.15):
+            raise SceneSpecError(
+                f"background {self.background_temp} C must stay in [-273.15, "
+                f"{HEAD_PEAK}) C as it drifts {BACKGROUND_DRIFT} C either way")
         if self.period < 1:
             raise SceneSpecError("frame period must be at least 1 s")
 
-
-@dataclass(frozen=True)
-class FramePlan:
-    index: int
-    ts: int
-    occupied: bool
-    scenario: int | None  # index into DatasetSpec.scenarios
+    def ts(self, index: int) -> int:
+        return self.start_ts + index * self.period
 
 
 def occupied_count(frames: int, fraction: float) -> int:
@@ -235,8 +237,9 @@ def generate_scene(scene: SceneSpec, seed: int = 0):
     return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, 0)
 
 
-def plan_dataset(spec: DatasetSpec) -> list[FramePlan]:
-    """Lay out occupancy runs and pick a scenario for each occupied run.
+def plan_dataset(spec: DatasetSpec) -> list[int | None]:
+    """Lay out occupancy runs and pick a scenario for each occupied run;
+    returns each frame's index into spec.scenarios, None for a vacant one.
 
     Frames alternate between occupied stretches of 30..120 frames and
     vacant stretches of 20..100 frames (a person settling in, then the
@@ -248,77 +251,70 @@ def plan_dataset(spec: DatasetSpec) -> list[FramePlan]:
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed,)))
     weights = np.array([s.weight for s in spec.scenarios], dtype=np.float64)
     weights /= weights.sum()
-    plans: list[FramePlan] = []
+    plan: list[int | None] = []
     occ_left, vac_left = total_occ, spec.frames - total_occ
     occupied_turn = occ_left >= vac_left
     while occ_left > 0 or vac_left > 0:
         if occupied_turn and occ_left > 0:
             run = min(occ_left, int(rng.integers(30, 121)))
-            scenario = int(rng.choice(len(spec.scenarios), p=weights))
             occ_left -= run
-            flags = [(True, scenario)] * run
+            plan += [int(rng.choice(len(spec.scenarios), p=weights))] * run
         elif not occupied_turn and vac_left > 0:
             run = min(vac_left, int(rng.integers(20, 101)))
             vac_left -= run
-            flags = [(False, None)] * run
-        else:
-            flags = []
-        for occupied, scenario in flags:
-            index = len(plans)
-            plans.append(FramePlan(index, spec.start_ts + index * spec.period,
-                                   occupied, scenario))
+            plan += [None] * run
         occupied_turn = not occupied_turn
-    return plans
+    return plan
 
 
-def render_frame(spec: DatasetSpec,
-                 plan: FramePlan) -> tuple[ThermalFrame, list[GroundTruthBox]]:
+def render_frame(spec: DatasetSpec, index: int, scenario: int | None
+                 ) -> tuple[ThermalFrame, list[GroundTruthBox]]:
     """Render one planned frame from its own (seed, index) stream.
 
     Draw order is fixed: background drift, then head geometry for
     occupied frames, then pixel noise; changing it would change every
     generated dataset.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, plan.index)))
-    bg = spec.background_temp + rng.uniform(-0.3, 0.3)
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
+    bg = spec.background_temp + rng.uniform(-BACKGROUND_DRIFT, BACKGROUND_DRIFT)
     head = None
-    if plan.occupied:
-        scenario = spec.scenarios[plan.scenario]
+    if scenario is not None:
+        pose = spec.scenarios[scenario]
         cx = rng.uniform(0.35, 0.65)
         cy = rng.uniform(0.30, 0.55)
         rx = rng.uniform(0.09, 0.13)
         ry = rx * rng.uniform(1.25, 1.55)
-        head = HeadSpec(cx, cy, rx, ry, peak_temp=34.0,
-                        orientation=scenario.orientation,
-                        occlusion=scenario.occlusion)
+        head = HeadSpec(cx, cy, rx, ry, peak_temp=HEAD_PEAK,
+                        orientation=pose.orientation, occlusion=pose.occlusion)
     scene = SceneSpec(background_temp=bg, noise_sigma=spec.noise_sigma,
                       head=head)
-    return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, plan.ts)
+    return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, spec.ts(index))
 
 
-def manifest_records(plans: list[FramePlan]) -> list[ManifestRecord]:
-    """The records of the manifest generate_dataset writes for plans;
-    their paths, relative to the dataset directory, name every file."""
-    return [ManifestRecord(frame=f"frames/frame_{p.index:06d}.pgm",
-                           labels=f"labels/frame_{p.index:06d}.txt",
-                           occupied=p.occupied, ts=p.ts) for p in plans]
+def manifest_records(spec: DatasetSpec, frames) -> list[ManifestRecord]:
+    """The manifest records of a plan's (index, scenario) pairs; their
+    paths, relative to the dataset directory, name every file."""
+    return [ManifestRecord(frame=f"frames/frame_{i:06d}.pgm",
+                           labels=f"labels/frame_{i:06d}.txt",
+                           occupied=s is not None, ts=spec.ts(i))
+            for i, s in frames]
 
 
-def write_planned_frame(spec: DatasetSpec, plan: FramePlan,
+def write_planned_frame(spec: DatasetSpec, index: int, scenario: int | None,
                         out_dir: str) -> tuple[ThermalFrame, str]:
-    """Render plan into out_dir's frames/ and labels/, which must exist;
-    returns the frame and its label text, blank for an empty frame."""
-    rec, = manifest_records([plan])
-    frame, gts = render_frame(spec, plan)
+    """Render frame index into out_dir's frames/ and labels/, which must
+    exist; returns the frame and its label text, blank for an empty frame."""
+    rec, = manifest_records(spec, [(index, scenario)])
+    frame, gts = render_frame(spec, index, scenario)
     labels = serialize_labels(gts)
     write_frame(os.path.join(out_dir, rec.frame), frame)
     write_text(os.path.join(out_dir, rec.labels), labels)
     return frame, labels
 
 
-def _write_frame(spec: DatasetSpec, out_dir: str, plan: FramePlan) -> None:
+def _write_frame(spec: DatasetSpec, out_dir: str, frame) -> None:
     """write_planned_frame for a worker: it sends no 24 KB frame back."""
-    write_planned_frame(spec, plan, out_dir)
+    write_planned_frame(spec, *frame, out_dir)
 
 
 def make_dataset_dirs(out_dir: str, records: list[ManifestRecord]) -> str:
@@ -334,8 +330,8 @@ def generate_dataset(spec: DatasetSpec, out_dir: str) -> str:
     """Write spec's frames/, labels/ and manifest.jsonl; returns its path.
     Each frame draws from its own (seed, index) stream, so util.fork_map
     writes them in any order and process, before the manifest."""
-    plans = plan_dataset(spec)
-    records = manifest_records(plans)
+    plans = list(enumerate(plan_dataset(spec)))
+    records = manifest_records(spec, plans)
     manifest_path = make_dataset_dirs(out_dir, records)
     fork_map(functools.partial(_write_frame, spec, out_dir), plans, len(plans))
     write_manifest(manifest_path, records)

@@ -511,6 +511,44 @@ def test_failed_synth_leaves_no_out(tmp_path, capsys, monkeypatch):
     assert len(read_manifest(str(tmp_path / "ds" / "manifest.jsonl"))) == 20
 
 
+def test_uninspectable_out_fails_cleanly(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "ds"
+    out.mkdir()
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "listdir", unreadable)
+    assert main(["synth", "--frames", "6", "--out", str(out)]) == 1
+    assert f"cannot inspect --out {out}" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert os.listdir(out) == [] and os.listdir(tmp_path) == ["ds"]
+
+
+def test_leftover_staged_sibling_fails_cleanly(tmp_path, capsys):
+    """A `<out>.<pid>.partial` that a killed run of the same pid left is
+    refused, never written into."""
+    out = tmp_path / "ds"
+    leftover = tmp_path / f"ds.{os.getpid()}.partial"
+    leftover.mkdir()
+    assert main(["synth", "--frames", "6", "--out", str(out)]) == 1
+    assert f"cannot create directory {leftover}" in capsys.readouterr().err
+    assert not out.exists() and os.listdir(leftover) == []
+
+
+def test_failed_final_rename_leaves_no_out(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(18, "Invalid cross-device link", src)
+
+    monkeypatch.setattr(os, "rename", refuse)
+    out = tmp_path / "ds"
+    assert main(["synth", "--frames", "6", "--out", str(out)]) == 1
+    staged = f"{os.path.realpath(out)}.{os.getpid()}.partial"
+    assert (f"cannot rename {staged} to {os.path.realpath(out)}: "
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_fails_cleanly(tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

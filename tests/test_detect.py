@@ -624,9 +624,9 @@ def warm_room_lines():
         for seed in (0, 1):
             spec = DatasetSpec(frames=10, seed=seed,
                                background_temp=background)
-            for plan in plan_dataset(spec):
-                dets = detect_blobs(render_frame(spec, plan)[0])
-                yield f"{background} {seed} {plan.index}: {len(dets)}"
+            for index, scenario in enumerate(plan_dataset(spec)):
+                dets = detect_blobs(render_frame(spec, index, scenario)[0])
+                yield f"{background} {seed} {index}: {len(dets)}"
                 for d in dets:
                     yield " ".join(float.hex(v) for v in (
                         d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence))

@@ -101,6 +101,20 @@ def test_frame_rejects_a_zero_dimension():
         ThermalFrame(0, 1, np.zeros((1, 0), dtype=np.uint16), 0)
 
 
+@pytest.mark.parametrize("counts", [[70000, 1, 2], [-1, 1, 2],
+                                    [30315.7, 1, 2], [np.nan, 1, 2]])
+def test_frame_refuses_counts_it_would_wrap(counts):
+    # a uint16 cast would read the first three as 4464, 65535 and 30315
+    with pytest.raises(ValueError, match="integer counts in 0..65535"):
+        ThermalFrame(3, 1, np.array([counts]), 0)
+
+
+def test_frame_takes_in_range_counts_of_any_integer_type():
+    frame = ThermalFrame(3, 1, np.array([[0, 30315, 65535]], np.int64), 0)
+    assert frame.temps.dtype == np.uint16
+    assert frame.temps.tolist() == [[0, 30315, 65535]]
+
+
 def test_frame_is_not_equal_to_another_type():
     frame = make_frame(2, 2, 24.0)
     assert (frame == object()) is False

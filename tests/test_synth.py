@@ -16,7 +16,7 @@ from thermocc.synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                             MIXED_SCENARIOS, ORIENTATIONS, DatasetSpec,
                             HeadSpec, Scenario, SceneSpec, _occlusion_cut,
                             generate_dataset, generate_scene, occupied_count,
-                            plan_dataset, render_frame)
+                            manifest_records, plan_dataset, render_frame)
 
 from oracle import OracleScaleError, oracle_match
 
@@ -62,6 +62,27 @@ def test_scene_and_dataset_validation():
             SceneSpec(head=HEAD, **bad)
         with pytest.raises(SceneSpecError):
             DatasetSpec(frames=10, **bad)
+
+
+def test_dataset_background_leaves_room_for_its_drift(tmp_path, capsys):
+    """Each frame's background drifts up to 0.3 C from the spec's, under a
+    34.0 C head: a spec whose drift could reach the head, or go below
+    absolute zero, is refused before synth writes a frame, whatever the
+    seed draws."""
+    for bad in (33.7, -300.0):
+        with pytest.raises(SceneSpecError,
+                           match=r"must stay in \[-273.15, 34.0\) C"):
+            DatasetSpec(frames=10, background_temp=bad)
+        out = tmp_path / f"ds{bad}"
+        assert main(["synth", "--frames", "400", "--background", str(bad),
+                     "--out", str(out)]) == 1
+        assert f"background {bad} C" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    DatasetSpec(frames=10, background_temp=33.69)
+    out = tmp_path / "ds"
+    assert main(["synth", "--frames", "20", "--background", "33.69",
+                 "--out", str(out)]) == 0
+    assert len(read_manifest(str(out / "manifest.jsonl"))) == 20
 
 
 def test_empty_scene_is_noise_around_background():
@@ -180,37 +201,38 @@ def test_occupied_count_rounding():
 
 def test_plan_counts_and_runs():
     spec = DatasetSpec(frames=500, seed=3)
-    plans = plan_dataset(spec)
-    assert len(plans) == 500
-    assert sum(p.occupied for p in plans) == occupied_count(
+    plan = plan_dataset(spec)
+    assert len(plan) == 500
+    assert sum(s is not None for s in plan) == occupied_count(
         500, DEFAULT_OCCUPIED_FRACTION)
-    assert [p.index for p in plans] == list(range(500))
-    assert [p.ts for p in plans] == [k * 10 for k in range(500)]
-    for plan in plans:
-        assert (plan.scenario is not None) == plan.occupied
-        if plan.scenario is not None:
-            assert 0 <= plan.scenario < len(spec.scenarios)
+    records = manifest_records(spec, enumerate(plan))
+    assert [r.ts for r in records] == [k * 10 for k in range(500)]
+    assert [r.occupied for r in records] == [s is not None for s in plan]
+    for scenario in plan:
+        if scenario is not None:
+            assert type(scenario) is int
+            assert 0 <= scenario < len(spec.scenarios)
     # scenarios are drawn once per run, so they form long plateaus:
     # adjacent occupied frames change scenario only at run boundaries,
     # of which 500 frames can hold at most a handful (runs are 30..120
     # frames). Per-frame draws would flip on most adjacent pairs.
-    changes = sum(1 for prev, cur in zip(plans, plans[1:])
-                  if prev.occupied and cur.occupied
-                  and prev.scenario != cur.scenario)
+    changes = sum(1 for prev, cur in zip(plan, plan[1:])
+                  if prev is not None and cur is not None and prev != cur)
     assert changes <= 500 // 30
 
 
 def test_plan_run_lengths_are_bounded():
-    plans = plan_dataset(DatasetSpec(frames=2000, seed=8))
+    occupied = [s is not None for s in plan_dataset(
+        DatasetSpec(frames=2000, seed=8))]
     runs = []
     length = 1
-    for prev, cur in zip(plans, plans[1:]):
-        if cur.occupied == prev.occupied:
+    for prev, cur in zip(occupied, occupied[1:]):
+        if cur == prev:
             length += 1
         else:
-            runs.append((prev.occupied, length))
+            runs.append((prev, length))
             length = 1
-    runs.append((plans[-1].occupied, length))
+    runs.append((occupied[-1], length))
     # every interior run respects the planner's bounds; the last run of
     # each kind may be truncated by the quota
     occ_runs = [n for occ, n in runs[:-1] if occ]
@@ -222,9 +244,9 @@ def test_plan_run_lengths_are_bounded():
 
 def test_render_frame_deterministic():
     spec = DatasetSpec(frames=50, seed=12)
-    plans = plan_dataset(spec)
-    a = render_frame(spec, plans[7])
-    b = render_frame(spec, plans[7])
+    plan = plan_dataset(spec)
+    a = render_frame(spec, 7, plan[7])
+    b = render_frame(spec, 7, plan[7])
     assert encode_frame(a[0]) == encode_frame(b[0])
     assert a[1] == b[1]
 

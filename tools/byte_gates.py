@@ -71,9 +71,9 @@ def listing_digest(root: str) -> str:
 def detection_digest(frames: int, background: float) -> str:
     spec = DatasetSpec(frames=frames, seed=0, background_temp=background)
     lines = []
-    for plan in plan_dataset(spec):
-        dets = detect_blobs(render_frame(spec, plan)[0])
-        lines.append(f"{plan.index}: {len(dets)}")
+    for index, scenario in enumerate(plan_dataset(spec)):
+        dets = detect_blobs(render_frame(spec, index, scenario)[0])
+        lines.append(f"{index}: {len(dets)}")
         lines += [" ".join(float.hex(v) for v in (
             d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence))
             for d in dets]

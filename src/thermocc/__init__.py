@@ -26,8 +26,7 @@ from .occupancy import (ControlPolicy, HvacSchedule, OccupancyConfusion,
                         frame_occupancy, manifest_timeline, simulate_control)
 from .split import (RatioReport, SplitAssignment, SplitFractions,
                     stratified_split, stratum_counts, verify_ratio)
-from .synth import (DatasetSpec, HeadSpec, Scenario, SceneSpec,
-                    generate_dataset, generate_scene, plan_dataset,
+from .synth import (DatasetSpec, Scenario, generate_dataset, plan_dataset,
                     render_frame)
 
 __version__ = "0.1.0"

@@ -74,9 +74,6 @@ class PixelBox:
     x1: float
     y1: float
 
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 def from_pixel_box(pbox: PixelBox, width: int, height: int) -> NormalizedBox:
     """Inverse of metrics.to_pixel_box, which scales boxes onto the grid,

@@ -192,7 +192,7 @@ def detect_blobs(frame: ThermalFrame,
     dets = []
     boxes, ids = _warm_components(frame.temps, config._raw_cut)
     for k, (y0, y1, x0, x1) in enumerate(boxes):
-        # PixelBox.area()'s floats, as small int products are exact. The
+        # The float corners' area, as small int products are exact. The
         # config's values are finite, so a zero here zeroes the product.
         area_frac = (x1 - x0) * (y1 - y0) / frame_area
         aspect = (y1 - y0) / (x1 - x0)

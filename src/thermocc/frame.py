@@ -68,9 +68,6 @@ class ThermalFrame:
                 f"{self.height}x{self.width}")
         object.__setattr__(self, "temps", arr)
 
-    def temps_celsius(self) -> np.ndarray:
-        return celsius_from_raw(self.temps)
-
     def __eq__(self, other):
         if not isinstance(other, ThermalFrame):
             return NotImplemented

@@ -20,6 +20,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .frame import (NATIVE_HEIGHT, NATIVE_WIDTH, ThermalFrame,
 from .manifest import ManifestRecord, write_manifest
 from .util import fork_map, make_dirs, round_half_away, write_text
 
-ORIENTATIONS = ("frontal", "side", "down")
 _ORIENT_SCALE = {"frontal": (1.0, 1.0), "side": (0.55, 1.0),
                  "down": (1.0, 0.55)}
 
@@ -42,56 +42,18 @@ HEAD_EDGE = 0.6
 
 DEFAULT_OCCUPIED_FRACTION = 3.75 / 4.75
 BACKGROUND_DRIFT = 0.3  # C either way, from DatasetSpec.background_temp
-HEAD_PEAK = 34.0  # C, every head's peak unless a HeadSpec says otherwise
+HEAD_PEAK = 34.0  # C, every head's peak
 
 
-@dataclass(frozen=True)
-class HeadSpec:
-    """One head: center and radii in unit coordinates."""
+class _Head(NamedTuple):
+    """One head's geometry: center and radii in unit coordinates."""
 
     cx: float
     cy: float
     rx: float
     ry: float
-    peak_temp: float = HEAD_PEAK
     orientation: str = "frontal"
     occlusion: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.cx <= 1.0 and 0.0 <= self.cy <= 1.0):
-            raise SceneSpecError("head center must lie in the unit square")
-        if not (0.0 < self.rx <= 0.5 and 0.0 < self.ry <= 0.5):
-            raise SceneSpecError("head radii must lie in (0, 0.5]")
-        _check_pose(self.orientation, self.occlusion)
-
-
-def _check_pose(orientation: str, occlusion: float) -> None:
-    if orientation not in ORIENTATIONS:
-        raise SceneSpecError(f"unknown orientation {orientation!r}")
-    if not (0.0 <= occlusion <= 0.9):
-        raise SceneSpecError("occlusion fraction must lie in [0, 0.9]")
-
-
-def _check_background(background_temp: float, noise_sigma: float) -> None:
-    if not math.isfinite(background_temp):
-        raise SceneSpecError("background temperature must be finite")
-    if not (0.0 <= noise_sigma < math.inf):
-        raise SceneSpecError("noise sigma must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    """One frame: a background and at most one head."""
-
-    background_temp: float = 22.0
-    noise_sigma: float = 0.3
-    head: HeadSpec | None = None
-
-    def __post_init__(self):
-        _check_background(self.background_temp, self.noise_sigma)
-        if (self.head is not None
-                and self.head.peak_temp <= self.background_temp):
-            raise SceneSpecError("head peak must exceed the background")
 
 
 @dataclass(frozen=True)
@@ -103,7 +65,10 @@ class Scenario:
     weight: float = 1.0
 
     def __post_init__(self):
-        _check_pose(self.orientation, self.occlusion)
+        if self.orientation not in _ORIENT_SCALE:
+            raise SceneSpecError(f"unknown orientation {self.orientation!r}")
+        if not (0.0 <= self.occlusion <= 0.9):
+            raise SceneSpecError("occlusion fraction must lie in [0, 0.9]")
         if not (self.weight > 0):
             raise SceneSpecError("scenario weight must be positive")
 
@@ -142,7 +107,10 @@ class DatasetSpec:
             raise SceneSpecError("need at least one scenario")
         if self.seed < 0:
             raise SceneSpecError("seed must be non-negative")
-        _check_background(self.background_temp, self.noise_sigma)
+        if not math.isfinite(self.background_temp):
+            raise SceneSpecError("background temperature must be finite")
+        if not (0.0 <= self.noise_sigma < math.inf):
+            raise SceneSpecError("noise sigma must be finite and non-negative")
         if not (self.background_temp + BACKGROUND_DRIFT < HEAD_PEAK
                 and self.background_temp - BACKGROUND_DRIFT >= -273.15):
             raise SceneSpecError(
@@ -189,18 +157,20 @@ def _pixel_span(center: float, radius: float, size: int) -> tuple[int, int]:
     return max(lo, 0), min(hi, size)
 
 
-def _render(scene: SceneSpec, rng: np.random.Generator, width: int,
-            height: int, ts: int) -> tuple[ThermalFrame, list[GroundTruthBox]]:
-    """Rasterize a scene; ground truth comes from the noiseless mask.
+def _render(background: float, noise_sigma: float, head: _Head | None,
+            rng: np.random.Generator, width: int, height: int, ts: int
+            ) -> tuple[ThermalFrame, list[GroundTruthBox]]:
+    """Rasterize a background and at most one head peaking at HEAD_PEAK;
+    ground truth comes from the noiseless mask. DatasetSpec keeps every
+    drawn background below the peak, so nothing here checks it.
 
     The ellipse is evaluated only over the pixel box that can hold it,
     with the same per-pixel arithmetic as over the whole frame, so the
     output does not depend on the box.
     """
-    temps = np.full((height, width), scene.background_temp, dtype=np.float64)
+    temps = np.full((height, width), background, dtype=np.float64)
     gts: list[GroundTruthBox] = []
-    if scene.head is not None:
-        head = scene.head
+    if head is not None:
         sx, sy = _ORIENT_SCALE[head.orientation]
         rx, ry = head.rx * sx, head.ry * sy
         c0, c1 = _pixel_span(head.cx, rx, width)
@@ -214,27 +184,21 @@ def _render(scene: SceneSpec, rng: np.random.Generator, width: int,
         if head.occlusion > 0.0:
             inside &= dv <= _occlusion_cut(head.occlusion)
         if inside.any():
-            delta = head.peak_temp - scene.background_temp
+            delta = HEAD_PEAK - background
             profile = np.where(
                 dist <= HEAD_CORE, 1.0,
                 1.0 - (1.0 - HEAD_EDGE) * (dist - HEAD_CORE) / (1.0 - HEAD_CORE))
             np.copyto(temps[r0:r1, c0:c1],
-                      scene.background_temp + delta * profile, where=inside)
+                      background + delta * profile, where=inside)
             rows = np.nonzero(inside.any(axis=1))[0] + r0
             cols = np.nonzero(inside.any(axis=0))[0] + c0
             x0, x1 = cols[0] / width, (cols[-1] + 1) / width
             y0, y1 = rows[0] / height, (rows[-1] + 1) / height
             gts.append(GroundTruthBox(0, NormalizedBox(
                 (x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)))
-    if scene.noise_sigma > 0.0:
-        temps = temps + rng.normal(0.0, scene.noise_sigma, temps.shape)
+    if noise_sigma > 0.0:
+        temps = temps + rng.normal(0.0, noise_sigma, temps.shape)
     return ThermalFrame(width, height, raw_from_celsius(temps), ts), gts
-
-
-def generate_scene(scene: SceneSpec, seed: int = 0):
-    """Render one scene at ts 0 with its own generator; returns (frame, gts)."""
-    rng = np.random.default_rng(seed)
-    return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, 0)
 
 
 def plan_dataset(spec: DatasetSpec) -> list[int | None]:
@@ -284,11 +248,9 @@ def render_frame(spec: DatasetSpec, index: int, scenario: int | None
         cy = rng.uniform(0.30, 0.55)
         rx = rng.uniform(0.09, 0.13)
         ry = rx * rng.uniform(1.25, 1.55)
-        head = HeadSpec(cx, cy, rx, ry, peak_temp=HEAD_PEAK,
-                        orientation=pose.orientation, occlusion=pose.occlusion)
-    scene = SceneSpec(background_temp=bg, noise_sigma=spec.noise_sigma,
-                      head=head)
-    return _render(scene, rng, NATIVE_WIDTH, NATIVE_HEIGHT, spec.ts(index))
+        head = _Head(cx, cy, rx, ry, pose.orientation, pose.occlusion)
+    return _render(bg, spec.noise_sigma, head, rng, NATIVE_WIDTH,
+                   NATIVE_HEIGHT, spec.ts(index))
 
 
 def manifest_records(spec: DatasetSpec, frames) -> list[ManifestRecord]:

@@ -215,7 +215,7 @@ def test_to_pixel_box_keeps_subpixel_boxes():
     assert box.x0 == 0.0 and box.y0 == 0.0
     assert box.x1 == pytest.approx(0.064)
     assert box.y1 == pytest.approx(0.048)
-    assert box.area() > 0
+    assert (box.x1 - box.x0) * (box.y1 - box.y0) > 0
 
 
 def test_to_pixel_box_degenerate_guard():

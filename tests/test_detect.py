@@ -348,14 +348,14 @@ def oracle_detect(frame, config):
     """detect_blobs rebuilt on the flood-fill labeller, the Celsius mask
     and the brute-force NMS: each component's mean is taken over its
     pixels in raster order, as the detector's contract requires."""
-    temps = frame.temps_celsius()
+    temps = celsius_from_raw(frame.temps)
     mask = temps >= config.warm_threshold
     dets = []
     for (x0, y0, x1, y1), members in flood_fill_components(mask.tolist()):
         rows, cols = zip(*members)
         box = PixelBox(float(x0), float(y0), float(x1), float(y1))
         conf = score_blob(float(temps[list(rows), list(cols)].mean()),
-                          box.area() / (frame.width * frame.height),
+                          (x1 - x0) * (y1 - y0) / (frame.width * frame.height),
                           (y1 - y0) / (x1 - x0), config)
         if conf > 0.0:
             dets.append(Detection(0, from_pixel_box(box, frame.width,

@@ -34,7 +34,7 @@ def test_decode_example():
     frame = decode_frame(data)
     assert frame.timestamp == 100
     assert frame.width == 2 and frame.height == 1
-    assert frame.temps_celsius().tolist() == [[24.0, 0.0]]
+    assert celsius_from_raw(frame.temps).tolist() == [[24.0, 0.0]]
 
 
 def test_decode_rejects_bad_magic():

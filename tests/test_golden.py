@@ -15,9 +15,12 @@ declares it in CHANGES.md:
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from thermocc.cli import main
+
+from stream_canary import expected_digest, stream_digest
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden",
                        "pipeline_300_seed4.sha256")
@@ -58,6 +61,14 @@ def _check_golden_run(tmp_path, threads):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_pipeline_artifacts_match_golden_digests(tmp_path, threads):
     _check_golden_run(tmp_path, threads)
+
+
+def test_numpy_streams_match_the_canary():
+    """numpy still draws what the golden bytes were made from (see
+    stream_canary.py); when this fails, the digests above fail for
+    numpy's sake, not thermocc's."""
+    assert stream_digest() == expected_digest(), (
+        f"numpy {np.__version__} moved a stream thermocc's bytes rest on")
 
 
 def _no_read(*args, **kwargs):

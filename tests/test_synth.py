@@ -10,38 +10,41 @@ from thermocc.annot import Detection, GroundTruthBox, NormalizedBox
 from thermocc import synth
 from thermocc.cli import main
 from thermocc.errors import SceneSpecError
-from thermocc.frame import encode_frame, raw_from_celsius
+from thermocc.frame import (NATIVE_HEIGHT, NATIVE_WIDTH, celsius_from_raw,
+                            encode_frame, raw_from_celsius)
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
-                            MIXED_SCENARIOS, ORIENTATIONS, DatasetSpec,
-                            HeadSpec, Scenario, SceneSpec, _occlusion_cut,
-                            generate_dataset, generate_scene, occupied_count,
-                            manifest_records, plan_dataset, render_frame)
+                            HEAD_PEAK, MIXED_SCENARIOS, DatasetSpec, Scenario,
+                            _Head, _occlusion_cut, generate_dataset,
+                            occupied_count, manifest_records, plan_dataset,
+                            render_frame)
 
 from oracle import OracleScaleError, oracle_match
 
-HEAD = HeadSpec(cx=0.5, cy=0.45, rx=0.11, ry=0.15)
+ORIENTATIONS = tuple(synth._ORIENT_SCALE)
+HEAD = _Head(cx=0.5, cy=0.45, rx=0.11, ry=0.15)
+
+
+def _scene(head=None, background=22.0, noise_sigma=0.0, seed=0):
+    """One native-size frame at ts 0 from synth's one rasterizer."""
+    return synth._render(background, noise_sigma, head,
+                         np.random.default_rng(seed), NATIVE_WIDTH,
+                         NATIVE_HEIGHT, 0)
 
 
 def test_scene_and_dataset_validation():
-    with pytest.raises(SceneSpecError):
-        HeadSpec(cx=1.2, cy=0.5, rx=0.1, ry=0.1)
-    with pytest.raises(SceneSpecError):
-        HeadSpec(cx=0.5, cy=0.5, rx=0.0, ry=0.1)
-    with pytest.raises(SceneSpecError):
-        HeadSpec(cx=0.5, cy=0.5, rx=0.1, ry=0.1, orientation="upside")
-    with pytest.raises(SceneSpecError):
-        HeadSpec(cx=0.5, cy=0.5, rx=0.1, ry=0.1, occlusion=0.95)
-    with pytest.raises(SceneSpecError):
-        SceneSpec(background_temp=36.0, head=HEAD)  # peak below background
-    with pytest.raises(SceneSpecError):
-        SceneSpec(noise_sigma=-0.1)
     with pytest.raises(SceneSpecError):
         Scenario(weight=0.0)
     with pytest.raises(SceneSpecError, match="unknown orientation"):
         Scenario(orientation="upside")
     with pytest.raises(SceneSpecError, match="occlusion"):
+        Scenario(occlusion=0.95)
+    with pytest.raises(SceneSpecError, match="occlusion"):
         Scenario(occlusion=float("nan"))
+    with pytest.raises(SceneSpecError, match="noise sigma"):
+        DatasetSpec(frames=10, noise_sigma=-0.1)
+    with pytest.raises(SceneSpecError):
+        DatasetSpec(frames=10, background_temp=36.0)  # above the head peak
     with pytest.raises(SceneSpecError):
         DatasetSpec(frames=0)
     with pytest.raises(SceneSpecError):
@@ -56,10 +59,6 @@ def test_scene_and_dataset_validation():
     for bad in ({"background_temp": nan}, {"background_temp": inf},
                 {"background_temp": -inf}, {"noise_sigma": nan},
                 {"noise_sigma": inf}):
-        with pytest.raises(SceneSpecError):
-            SceneSpec(**bad)
-        with pytest.raises(SceneSpecError):
-            SceneSpec(head=HEAD, **bad)
         with pytest.raises(SceneSpecError):
             DatasetSpec(frames=10, **bad)
 
@@ -85,19 +84,37 @@ def test_dataset_background_leaves_room_for_its_drift(tmp_path, capsys):
     assert len(read_manifest(str(out / "manifest.jsonl"))) == 20
 
 
+def test_warmest_background_still_shows_every_head():
+    """The warmest background DatasetSpec takes drifts to under 33.99 C,
+    below the 34.0 C head, so no frame needs a check of its own: each
+    occupied frame holds one head at the peak's count, above its
+    background's, and each vacant frame is flat with no ground truth."""
+    spec = DatasetSpec(frames=400, background_temp=33.69, noise_sigma=0.0,
+                       seed=0)
+    peak = raw_from_celsius(HEAD_PEAK)
+    plan = plan_dataset(spec)
+    assert None in plan and set(plan) != {None}
+    for index, scenario in enumerate(plan):
+        frame, gts = render_frame(spec, index, scenario)
+        background = frame.temps.min()
+        if scenario is None:
+            assert gts == [] and frame.temps.max() == background
+        else:
+            assert len(gts) == 1
+            assert frame.temps.max() == peak > background
+
+
 def test_empty_scene_is_noise_around_background():
-    scene = SceneSpec(background_temp=22.0, noise_sigma=0.3, head=None)
-    frame, gts = generate_scene(scene, seed=1)
+    frame, gts = _scene(noise_sigma=0.3, seed=1)
     assert gts == []
-    temps = frame.temps_celsius()
+    temps = celsius_from_raw(frame.temps)
     assert abs(temps.mean() - 22.0) < 0.05
     assert np.max(np.abs(temps - 22.0)) < 2.0
 
 
 def test_noiseless_head_peaks_at_requested_temperature():
-    scene = SceneSpec(background_temp=22.0, noise_sigma=0.0, head=HEAD)
-    frame, gts = generate_scene(scene, seed=0)
-    temps = frame.temps_celsius()
+    frame, gts = _scene(HEAD)
+    temps = celsius_from_raw(frame.temps)
     assert temps.max() == 34.0
     assert len(gts) == 1
 
@@ -121,16 +138,16 @@ def warm_tight_box(temps, width, height):
 def test_ground_truth_is_tight_warm_box():
     rng = np.random.default_rng(21)
     for _ in range(40):
-        head = HeadSpec(cx=float(rng.uniform(0.3, 0.7)),
-                        cy=float(rng.uniform(0.3, 0.6)),
-                        rx=float(rng.uniform(0.08, 0.14)),
-                        ry=float(rng.uniform(0.1, 0.18)),
-                        orientation=str(rng.choice(["frontal", "side", "down"])),
-                        occlusion=float(rng.choice([0.0, 0.0, 0.3, 0.5])))
-        scene = SceneSpec(background_temp=22.0, noise_sigma=0.0, head=head)
-        frame, gts = generate_scene(scene, seed=0)
+        head = _Head(cx=float(rng.uniform(0.3, 0.7)),
+                     cy=float(rng.uniform(0.3, 0.6)),
+                     rx=float(rng.uniform(0.08, 0.14)),
+                     ry=float(rng.uniform(0.1, 0.18)),
+                     orientation=str(rng.choice(["frontal", "side", "down"])),
+                     occlusion=float(rng.choice([0.0, 0.0, 0.3, 0.5])))
+        frame, gts = _scene(head)
         assert len(gts) == 1
-        want = warm_tight_box(frame.temps_celsius(), frame.width, frame.height)
+        want = warm_tight_box(celsius_from_raw(frame.temps), frame.width,
+                              frame.height)
         got = gts[0].box
         for name in ("cx", "cy", "w", "h"):
             assert getattr(got, name) == pytest.approx(
@@ -138,15 +155,12 @@ def test_ground_truth_is_tight_warm_box():
 
 
 def test_occlusion_removes_expected_area():
-    full_scene = SceneSpec(noise_sigma=0.0, head=HEAD)
-    full_frame, full_gts = generate_scene(full_scene, seed=0)
-    full_warm = int((full_frame.temps_celsius() > 23.0).sum())
+    full_frame, full_gts = _scene(HEAD)
+    full_warm = int((celsius_from_raw(full_frame.temps) > 23.0).sum())
     full_box = full_gts[0].box
     for q in (0.3, 0.5, 0.7):
-        head = HeadSpec(HEAD.cx, HEAD.cy, HEAD.rx, HEAD.ry, occlusion=q)
-        frame, gts = generate_scene(SceneSpec(noise_sigma=0.0, head=head),
-                                    seed=0)
-        warm = int((frame.temps_celsius() > 23.0).sum())
+        frame, gts = _scene(HEAD._replace(occlusion=q))
+        warm = int((celsius_from_raw(frame.temps) > 23.0).sum())
         box = gts[0].box
         assert warm / full_warm == pytest.approx(1 - q, abs=0.04)
         # the cut comes from below: same top edge, shorter box, and the
@@ -155,40 +169,30 @@ def test_occlusion_removes_expected_area():
             full_box.cy - full_box.h / 2, abs=1e-12)
         assert box.h < full_box.h
         assert box.w <= full_box.w
-    barely = HeadSpec(HEAD.cx, HEAD.cy, HEAD.rx, HEAD.ry, occlusion=0.3)
-    _, barely_gts = generate_scene(SceneSpec(noise_sigma=0.0, head=barely),
-                                   seed=0)
+    _, barely_gts = _scene(HEAD._replace(occlusion=0.3))
     assert barely_gts[0].box.w == full_box.w  # equator row survives
 
 
 def test_side_view_is_narrower():
-    frontal, f_gts = generate_scene(SceneSpec(noise_sigma=0.0, head=HEAD),
-                                    seed=0)
-    side_head = HeadSpec(HEAD.cx, HEAD.cy, HEAD.rx, HEAD.ry,
-                         orientation="side")
-    side, s_gts = generate_scene(SceneSpec(noise_sigma=0.0, head=side_head),
-                                 seed=0)
+    _, f_gts = _scene(HEAD)
+    _, s_gts = _scene(HEAD._replace(orientation="side"))
     assert s_gts[0].box.w < f_gts[0].box.w
     assert s_gts[0].box.h == f_gts[0].box.h
 
 
 def test_down_view_is_flatter():
-    down_head = HeadSpec(HEAD.cx, HEAD.cy, HEAD.rx, HEAD.ry,
-                         orientation="down")
-    _, f_gts = generate_scene(SceneSpec(noise_sigma=0.0, head=HEAD), seed=0)
-    _, d_gts = generate_scene(SceneSpec(noise_sigma=0.0, head=down_head),
-                              seed=0)
+    _, f_gts = _scene(HEAD)
+    _, d_gts = _scene(HEAD._replace(orientation="down"))
     assert d_gts[0].box.h < f_gts[0].box.h
     assert d_gts[0].box.w == f_gts[0].box.w
 
 
 def test_scene_determinism():
-    scene = SceneSpec(head=HEAD)
-    a_frame, a_gts = generate_scene(scene, seed=9)
-    b_frame, b_gts = generate_scene(scene, seed=9)
+    a_frame, a_gts = _scene(HEAD, noise_sigma=0.3, seed=9)
+    b_frame, b_gts = _scene(HEAD, noise_sigma=0.3, seed=9)
     assert encode_frame(a_frame) == encode_frame(b_frame)
     assert a_gts == b_gts
-    c_frame, _ = generate_scene(scene, seed=10)
+    c_frame, _ = _scene(HEAD, noise_sigma=0.3, seed=10)
     assert encode_frame(c_frame) != encode_frame(a_frame)
 
 
@@ -362,23 +366,21 @@ def test_oracle_match_simple_cases():
 
 def test_occlusion_cut_matches_pixel_area():
     """The rendered cut removes the requested share of ellipse pixels."""
-    big = HeadSpec(cx=0.5, cy=0.5, rx=0.3, ry=0.35)
-    full, _ = generate_scene(SceneSpec(noise_sigma=0.0, head=big), seed=0)
-    n_full = int((full.temps_celsius() > 23.0).sum())
+    big = _Head(cx=0.5, cy=0.5, rx=0.3, ry=0.35)
+    full, _ = _scene(big)
+    n_full = int((celsius_from_raw(full.temps) > 23.0).sum())
     for q in (0.1, 0.25, 0.4, 0.6, 0.8):
-        head = HeadSpec(big.cx, big.cy, big.rx, big.ry, occlusion=q)
-        frame, _ = generate_scene(SceneSpec(noise_sigma=0.0, head=head),
-                                  seed=0)
-        visible = int((frame.temps_celsius() > 23.0).sum())
+        frame, _ = _scene(big._replace(occlusion=q))
+        visible = int((celsius_from_raw(frame.temps) > 23.0).sum())
         assert visible / n_full == pytest.approx(1 - q, abs=0.02)
 
 
-def _full_frame_render(scene, rng, width, height):
-    """Reference rasterizer: evaluates the ellipse over every pixel of
-    the frame. Returns the float temperatures and the ground truth."""
-    temps = np.full((height, width), scene.background_temp, dtype=np.float64)
+def _full_frame_render(background, noise_sigma, head, rng, width, height):
+    """Reference rasterizer: evaluates the ellipse, peaking at 34.0 C, over
+    every pixel of the frame. Returns the float temperatures and the
+    ground truth."""
+    temps = np.full((height, width), background, dtype=np.float64)
     gts = []
-    head = scene.head
     sx, sy = {"frontal": (1.0, 1.0), "side": (0.55, 1.0),
               "down": (1.0, 0.55)}[head.orientation]
     rx, ry = head.rx * sx, head.ry * sy
@@ -391,19 +393,18 @@ def _full_frame_render(scene, rng, width, height):
     if head.occlusion > 0.0:
         inside &= dv <= _occlusion_cut.__wrapped__(head.occlusion)
     if inside.any():
-        delta = head.peak_temp - scene.background_temp
+        delta = 34.0 - background
         profile = np.where(dist <= 0.9, 1.0,
                            1.0 - (1.0 - 0.6) * (dist - 0.9) / (1.0 - 0.9))
-        temps = np.where(inside, scene.background_temp + delta * profile,
-                         temps)
+        temps = np.where(inside, background + delta * profile, temps)
         rows = np.nonzero(inside.any(axis=1))[0]
         cols = np.nonzero(inside.any(axis=0))[0]
         x0, x1 = cols[0] / width, (cols[-1] + 1) / width
         y0, y1 = rows[0] / height, (rows[-1] + 1) / height
         gts.append(GroundTruthBox(0, NormalizedBox(
             (x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)))
-    if scene.noise_sigma > 0.0:
-        temps = temps + rng.normal(0.0, scene.noise_sigma, temps.shape)
+    if noise_sigma > 0.0:
+        temps = temps + rng.normal(0.0, noise_sigma, temps.shape)
     return temps, gts
 
 
@@ -434,14 +435,12 @@ def test_box_render_matches_full_frame_render(monkeypatch, orientation,
     rng = np.random.default_rng(
         (ORIENTATIONS.index(orientation), int(occlusion * 10)))
     for k, (cx, cy, rx, ry) in enumerate(_render_heads(rng)):
-        head = HeadSpec(cx, cy, rx, ry, orientation=orientation,
-                        occlusion=occlusion)
-        scene = SceneSpec(background_temp=21.5, noise_sigma=0.3, head=head)
+        scene = (21.5, 0.3, _Head(cx, cy, rx, ry, orientation, occlusion))
         for width, height in ((128, 96), (37, 23)):
-            frame, gts = synth._render(scene, np.random.default_rng(k),
+            frame, gts = synth._render(*scene, np.random.default_rng(k),
                                        width, height, 0)
             want, want_gts = _full_frame_render(
-                scene, np.random.default_rng(k), width, height)
+                *scene, np.random.default_rng(k), width, height)
             assert seen.pop().tobytes() == want.tobytes()
             assert gts == want_gts
             assert np.array_equal(frame.temps, raw_from_celsius(want))

@@ -30,7 +30,14 @@ purpose regenerates the fixture and says so in CHANGES.md:
 
     python tools/byte_gates.py --write
 
-Exit 0 when every digest matches the fixture, 1 otherwise.
+Before the gates, the script prints numpy's version and checks the
+numpy stream canary (tests/stream_canary.py against
+tests/golden/stream_canary.sha256), which `--write` leaves alone. When
+a digest differs, its last line names the likelier cause: numpy's
+streams moved if the canary differs, else thermocc's own code.
+
+Exit 0 when the canary and every digest match their fixtures, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -44,8 +51,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(ROOT, "tests", "golden", "byte_gates.sha256")
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
+import numpy as np  # noqa: E402
+from stream_canary import expected_digest, stream_digest  # noqa: E402
 from thermocc.cli import main as thermocc  # noqa: E402
 from thermocc.detect import detect_blobs  # noqa: E402
 from thermocc.synth import DatasetSpec, plan_dataset, render_frame  # noqa: E402
@@ -117,6 +126,13 @@ def gates(work: str):
 
 
 def main(argv: list[str]) -> int:
+    print(f"numpy {np.__version__}")
+    canary = stream_digest() == expected_digest()
+    print(f"{'ok' if canary else 'CHANGED':8}  numpy stream canary",
+          flush=True)
+    if argv == ["--write"] and not canary:
+        print("numpy streams moved: the fixture is left as it is")
+        return 1
     with tempfile.TemporaryDirectory() as work:
         actual = dict(gates(work))
     if argv == ["--write"]:
@@ -132,7 +148,11 @@ def main(argv: list[str]) -> int:
     missing = sorted(set(expected) - set(actual))
     for name in missing:
         print(f"{'MISSING':8}  {name}")
-    return 0 if expected == actual else 1
+    if not canary:
+        print("numpy streams moved: the canary's draws differ")
+    elif expected != actual:
+        print("thermocc's own code changed the bytes: the canary held")
+    return 0 if canary and expected == actual else 1
 
 
 if __name__ == "__main__":

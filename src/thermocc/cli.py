@@ -11,6 +11,7 @@ The THERMOCC_SEED environment variable, when set, overrides any
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -21,8 +22,8 @@ from .annot import parse_labels, parse_predictions, serialize_predictions
 from .detect import (DEFAULT_CONFIG, DetectorConfig, detect_blobs,
                      detect_manifest)
 from .errors import ConfigError, ThermoccError
-from .manifest import (ManifestRecord, prediction_filenames, read_manifest,
-                       resolve, write_manifest)
+from .manifest import (prediction_filenames, read_manifest, resolve,
+                       write_manifest)
 from .metrics import DEFAULT_TAU, check_tau, evaluate, load_samples
 from .occupancy import (ControlPolicy, compare, detection_timeline,
                         manifest_timeline, simulate_control,
@@ -92,16 +93,15 @@ def _write_split(records, assignment, manifest_path: str, out_dir: str):
     returns the ratio report."""
     make_dirs(out_dir)
     out_abs = os.path.abspath(out_dir)
+
+    def rebase(path):  # a null labels path stays null
+        return path if path is None else os.path.relpath(
+            resolve(manifest_path, path), out_abs)
+
     for name, indices in assignment.subsets().items():
-        subset = []
-        for i in indices:
-            rec = records[i]
-            labels = rec.labels
-            if labels is not None:
-                labels = os.path.relpath(resolve(manifest_path, labels), out_abs)
-            subset.append(ManifestRecord(
-                frame=os.path.relpath(resolve(manifest_path, rec.frame), out_abs),
-                labels=labels, occupied=rec.occupied, ts=rec.ts))
+        subset = [dataclasses.replace(rec, frame=rebase(rec.frame),
+                                      labels=rebase(rec.labels))
+                  for rec in map(records.__getitem__, indices)]
         write_manifest(os.path.join(out_dir, f"{name}.jsonl"), subset)
     report = verify_ratio(assignment, records)
     write_text_atomic(os.path.join(out_dir, "ratio_report.json"),
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--frames", type=int, default=4836)
     p.add_argument("--threads", type=int, default=1,
-                   help="number of synth worker processes")
+                   help="number of worker processes for synth and detect")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ManifestError
 from .util import read_text, write_text_atomic
-
-_KEYS = ("frame", "labels", "occupied", "ts")
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,10 @@ class ManifestRecord:
             raise ManifestError("ts must be an integer")
 
 
+_KEYS = tuple(f.name for f in fields(ManifestRecord))
+_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+
+
 def read_manifest(path: str) -> list[ManifestRecord]:
     """Parse a JSONL manifest file. Blank lines are rejected, not skipped."""
     records = []
@@ -58,8 +60,7 @@ def read_manifest(path: str) -> list[ManifestRecord]:
         if extra:
             raise ManifestError(f"{path}:{lineno}: unknown keys {extra}")
         try:
-            records.append(ManifestRecord(obj["frame"], obj["labels"],
-                                          obj["occupied"], obj["ts"]))
+            records.append(ManifestRecord(**obj))
         except ManifestError as exc:
             raise ManifestError(f"{path}:{lineno}: {exc}") from exc
     return records
@@ -67,12 +68,7 @@ def read_manifest(path: str) -> list[ManifestRecord]:
 
 def write_manifest(path: str, records: list[ManifestRecord]) -> None:
     """Write records as JSONL with a fixed key order (byte-deterministic)."""
-    out = []
-    for rec in records:
-        out.append(json.dumps(
-            {"frame": rec.frame, "labels": rec.labels,
-             "occupied": rec.occupied, "ts": rec.ts},
-            separators=(", ", ": ")))
+    out = [_ENCODER.encode({k: getattr(r, k) for k in _KEYS}) for r in records]
     write_text_atomic(path, "\n".join(out + [""]))
 
 

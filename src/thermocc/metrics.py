@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -258,15 +258,8 @@ class EvalReport:
     curve: PRCurve
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "map50": self.map50,
-            "map50_95": self.map50_95,
-            "ap_per_iou": list(self.ap_per_iou),
-            "counts": dict(self.counts),
-            "operating_tau": self.operating_tau,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "curve"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 
+from .errors import ConfigError
 from .metrics import PRCurve
 from .occupancy import HvacSchedule, OccupancyTimeline
 from .util import make_dirs, write_text_atomic
@@ -83,7 +84,7 @@ def pr_curve_svg(curve: PRCurve, ap50: float) -> str:
 def _step_path(timestamps: list[int], flags: list[bool], t0: int, span: int,
                y_off: float, y_on: float) -> str:
     def px(ts: int) -> str:
-        return _fmt(_ML + (ts - t0) / span * (_W - _ML - _MR))
+        return _fmt(_x((ts - t0) / span))
 
     def py(flag: bool) -> str:
         return _fmt(y_on if flag else y_off)
@@ -103,6 +104,9 @@ def timeline_svg(actual: OccupancyTimeline, detected: OccupancyTimeline,
     parts = []
     series = [("actual", actual.timestamps(), actual.flags(), "#1f6fb4"),
               ("detected", detected.timestamps(), detected.flags(), "#d1495b")]
+    for label, stamps, _, _ in series:
+        if not stamps:
+            raise ConfigError(f"the {label} timeline has no samples to plot")
     if schedule is not None and schedule.entries:
         series.append(("hvac on", [t for t, _ in schedule.entries],
                        [f for _, f in schedule.entries], "#3a7d44"))
@@ -129,10 +133,11 @@ def timeline_svg(actual: OccupancyTimeline, detected: OccupancyTimeline,
 def emit_plots(out_dir: str, curve: PRCurve, ap50: float,
                actual: OccupancyTimeline, detected: OccupancyTimeline,
                schedule: HvacSchedule | None = None) -> tuple[str, str]:
-    """Write pr_curve.svg and occupancy_timeline.svg under out_dir."""
+    """Write pr_curve.svg and occupancy_timeline.svg under out_dir; both
+    are rendered first, so a refused timeline writes neither."""
+    svgs = {"pr_curve.svg": pr_curve_svg(curve, ap50),
+            "occupancy_timeline.svg": timeline_svg(actual, detected, schedule)}
     make_dirs(out_dir)
-    pr_path = os.path.join(out_dir, "pr_curve.svg")
-    tl_path = os.path.join(out_dir, "occupancy_timeline.svg")
-    write_text_atomic(pr_path, pr_curve_svg(curve, ap50))
-    write_text_atomic(tl_path, timeline_svg(actual, detected, schedule))
-    return pr_path, tl_path
+    for name, svg in svgs.items():
+        write_text_atomic(os.path.join(out_dir, name), svg)
+    return tuple(os.path.join(out_dir, name) for name in svgs)

@@ -13,7 +13,7 @@ seeded by the caller, which pins the assignment for a given
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .errors import (AssignmentIntegrityError, InfeasibleSplitError,
                      SplitConfigError)
 from .manifest import ManifestRecord
 from .util import round_half_away
-
-SUBSET_NAMES = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -32,10 +30,11 @@ class SplitFractions:
     test: float
 
     def __post_init__(self):
-        for name, value in zip(SUBSET_NAMES, (self.train, self.val, self.test)):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (0.0 < value < 1.0):
                 raise SplitConfigError(
-                    f"{name} fraction must lie in (0, 1), got {value}")
+                    f"{f.name} fraction must lie in (0, 1), got {value}")
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
             raise SplitConfigError(f"fractions must sum to 1, got {total}")
@@ -53,7 +52,7 @@ class SplitAssignment:
     test: tuple[int, ...]
 
     def subsets(self):
-        return dict(zip(SUBSET_NAMES, (self.train, self.val, self.test)))
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -61,17 +60,12 @@ class SubsetStats:
     total: int
     occupied: int
     unoccupied: int
-    ratio: float  # occupied / unoccupied, inf when unoccupied == 0
+    ratio: float  # occupied / unoccupied; inf (JSON null) if unoccupied == 0
     consistent: bool
 
     def to_dict(self):
-        return {
-            "total": self.total,
-            "occupied": self.occupied,
-            "unoccupied": self.unoccupied,
-            "ratio": self.ratio if math.isfinite(self.ratio) else None,
-            "consistent": self.consistent,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v if math.isfinite(v) else None for k, v in out.items()}
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,7 @@ from thermocc.frame import read_frame
 from thermocc.manifest import read_manifest, resolve
 from thermocc.synth import DatasetSpec, generate_dataset, occupied_count
 
-
-def tree_bytes(root):
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            full = os.path.join(dirpath, name)
-            with open(full, "rb") as fh:
-                out[os.path.relpath(full, root)] = fh.read()
-    return out
+from run_tree import tree_files
 
 
 @pytest.fixture
@@ -147,8 +139,8 @@ def test_pipeline_reproducible(tmp_path):
     assert rc == 0
     rc = main(args + ["--out", str(tmp_path / "b"), "--threads", "2"])
     assert rc == 0
-    a = tree_bytes(str(tmp_path / "a"))
-    b = tree_bytes(str(tmp_path / "b"))
+    a = dict(tree_files(str(tmp_path / "a")))
+    b = dict(tree_files(str(tmp_path / "b")))
     assert sorted(a) == sorted(b)
     assert a == b
     assert "report.json" in a
@@ -411,9 +403,9 @@ def test_rerun_into_used_out_is_refused(tmp_path, frontal_dataset, capsys,
         out = tmp_path / f"out{k}"
         out.mkdir()
         assert main(argv + ["--out", str(out)]) == 0
-        first = tree_bytes(str(out))
+        first = dict(tree_files(str(out)))
         assert main(argv + ["--out", str(out)]) == 1
-        assert tree_bytes(str(out)) == first
+        assert dict(tree_files(str(out))) == first
         assert "not an empty directory" in capsys.readouterr().err
     blocker = tmp_path / "a_file"
     blocker.write_text("")
@@ -626,9 +618,9 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     monkeypatch.delenv("THERMOCC_SEED")
     main(["synth", "--out", str(tmp_path / "c"), "--frames", "15",
           "--seed", "7"])
-    a = tree_bytes(str(tmp_path / "a"))
-    assert a == tree_bytes(str(tmp_path / "b"))
-    assert a == tree_bytes(str(tmp_path / "c"))
+    a = dict(tree_files(str(tmp_path / "a")))
+    assert a == dict(tree_files(str(tmp_path / "b")))
+    assert a == dict(tree_files(str(tmp_path / "c")))
 
 
 def test_env_seed_invalid(tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
+import os
 import re
 
+import pytest
+
+from thermocc.errors import ConfigError
 from thermocc.metrics import PRCurve
 from thermocc.occupancy import (ControlPolicy, OccupancyTimeline,
                                 simulate_control)
@@ -87,3 +91,19 @@ def test_emit_plots_files(tmp_path):
     pr_path, tl_path = emit_plots(str(tmp_path), CURVE, 0.625, actual, actual)
     second = (open(pr_path, "rb").read(), open(tl_path, "rb").read())
     assert first == second
+
+
+@pytest.mark.parametrize("empty", ["actual", "detected", "both"])
+def test_timeline_refuses_an_empty_series(tmp_path, empty):
+    """An empty actual or detected timeline is a ConfigError naming it,
+    from timeline_svg and from emit_plots, which then writes no file."""
+    none, one = OccupancyTimeline(()), OccupancyTimeline(((5, True),))
+    actual = none if empty in ("actual", "both") else one
+    detected = none if empty in ("detected", "both") else one
+    named = "actual" if empty == "both" else empty
+    with pytest.raises(ConfigError, match=f"the {named} timeline"):
+        timeline_svg(actual, detected, simulate_control(detected))
+    out = tmp_path / "plots"
+    with pytest.raises(ConfigError, match=f"the {named} timeline"):
+        emit_plots(str(out), CURVE, 0.625, actual, detected)
+    assert not os.path.exists(out / "pr_curve.svg")

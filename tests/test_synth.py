@@ -20,6 +20,7 @@ from thermocc.synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                             render_frame)
 
 from oracle import OracleScaleError, oracle_match
+from run_tree import tree_files
 
 ORIENTATIONS = tuple(synth._ORIENT_SCALE)
 HEAD = _Head(cx=0.5, cy=0.45, rx=0.11, ry=0.15)
@@ -272,16 +273,6 @@ def test_generate_dataset_layout(tmp_path):
             assert label_text == "", "empty frame must have a blank file"
 
 
-def _tree_bytes(root):
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            full = os.path.join(dirpath, name)
-            with open(full, "rb") as fh:
-                out[os.path.relpath(full, root)] = fh.read()
-    return out
-
-
 def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
@@ -310,11 +301,11 @@ def test_generate_dataset_reproducible(tmp_path, monkeypatch):
     for cpus in (1, 2):
         _usable_cpus(monkeypatch, cpus)
         manifest = generate_dataset(spec, str(tmp_path / f"cpus{cpus}"))
-        trees.append(_tree_bytes(os.path.dirname(manifest)))
+        trees.append(dict(tree_files(os.path.dirname(manifest))))
     assert len(starts) == 2  # one CPU maps here; two fork two workers
     assert main(["pipeline", "--frames", "31", "--seed", "4",
                  "--out", str(tmp_path / "run")]) == 0
-    trees.append(_tree_bytes(str(tmp_path / "run" / "dataset")))
+    trees.append(dict(tree_files(str(tmp_path / "run" / "dataset"))))
     assert len(trees[0]) == 2 * 31 + 1
     assert trees[1] == trees[0]
     assert trees[2] == trees[0]

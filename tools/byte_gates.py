@@ -54,6 +54,7 @@ FIXTURE = os.path.join(ROOT, "tests", "golden", "byte_gates.sha256")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import numpy as np  # noqa: E402
+from run_tree import tree_files  # noqa: E402
 from stream_canary import expected_digest, stream_digest  # noqa: E402
 from thermocc.cli import main as thermocc  # noqa: E402
 from thermocc.detect import detect_blobs  # noqa: E402
@@ -67,13 +68,8 @@ def _sha256(data: bytes) -> str:
 def listing_digest(root: str) -> str:
     """sha256 of the `sha256sum` lines of every file under root, sorted
     by path, with paths written `./rel/path`."""
-    lines = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(dirpath, name)
-            rel = "./" + os.path.relpath(path, root).replace(os.sep, "/")
-            with open(path, "rb") as fh:
-                lines[rel.encode()] = f"{_sha256(fh.read())}  {rel}\n"
+    lines = {f"./{rel}".encode(): f"{_sha256(data)}  ./{rel}\n"
+             for rel, data in tree_files(root)}
     return _sha256("".join(lines[k] for k in sorted(lines)).encode())
 
 

@@ -206,9 +206,9 @@ def cmd_occupancy(args) -> int:
     if not records:
         raise ConfigError("manifest holds no records to take occupancy from")
     samples, missing = load_samples(records, args.preds, args.manifest)
-    _report_missing_predictions(missing, len(records), args.preds)
     actual, detected, confusion, schedule = _occupancy(
         records, [preds for preds, _ in samples], args.tau, policy, args.out)
+    _report_missing_predictions(missing, len(records), args.preds)
     write_text_atomic(os.path.join(args.out, "occupancy_timeline.svg"),
                       timeline_svg(actual, detected, schedule))
     print(f"{len(actual)} frames: occupancy precision "

@@ -7,6 +7,7 @@ order; everything defaults to the native 128x96 grid.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, fields
@@ -172,24 +173,28 @@ def _sweep(samples, thresholds, width: int, height: int):
     once: confidence descending, then image, then _visit_order position.
     The greedy pass visits predictions by descending confidence, so the
     match of a confidence prefix is the prefix of the full match, and one
-    pass labels every prediction TP or FP for the whole sweep. Returns
-    (curve, aps, conf, cum_tp): the PR curve at thresholds[0], the AP at
-    each threshold, and, in rank order, the confidences and the running
-    TP count at thresholds[0].
+    pass over samples labels every prediction TP or FP for the whole
+    sweep. Returns (curve, aps, conf, cum_tp, images): the PR curve and,
+    in rank order, the confidences and running TP count at thresholds[0],
+    the AP at each threshold, and the number of images.
     """
     rungs = np.array(thresholds, dtype=np.float64)[:, None]
-    samples = list(samples)
-    total_gts = sum(len(gts) for _, gts in samples)
-    at = np.cumsum([0] + [len(preds) for preds, _ in samples])
-    conf, hits = np.empty(at[-1]), np.empty((len(rungs), at[-1]), dtype=bool)
-    # A block ends where an image starts a new window of _BLOCK_BOXES
-    # boxes, so it holds fewer boxes than that plus its last image's.
-    first = np.cumsum([0] + [len(p) + len(g) for p, g in samples])[:-1]
-    cuts = (np.diff(first // _BLOCK_BOXES).nonzero()[0] + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(samples)]):
-        _, conf[at[lo]:at[hi]], found = _match_block(samples[lo:hi], rungs,
-                                                     width, height)
-        hits[:, at[lo]:at[hi]] = found >= 0
+    parts = [(np.empty(0), np.empty((len(rungs), 0), dtype=bool))]
+    images = boxes = 0
+
+    def window(sample):  # the _BLOCK_BOXES window of the image's first box
+        nonlocal images, boxes
+        first, images = boxes, images + 1
+        boxes += len(sample[0]) + len(sample[1])
+        return first // _BLOCK_BOXES
+
+    # A block ends where an image starts a new window, so it holds fewer
+    # boxes than that plus its last image's; only conf and hits outlive it.
+    for _, block in itertools.groupby(samples, window):
+        _, conf, found = _match_block(list(block), rungs, width, height)
+        parts.append((conf, found >= 0))
+    conf, hits = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    total_gts = boxes - conf.size
     rank = np.argsort(-conf, kind="stable")  # ties keep image, visit order
 
     def rates(flags):  # running TP count, recall and precision
@@ -201,7 +206,7 @@ def _sweep(samples, thresholds, width: int, height: int):
     cum_tp, recall, precision = rates(hits[0])
     curve = PRCurve(tuple(zip(recall.tolist(), precision.tolist())),
                     total_gts)
-    return curve, aps, conf[rank], cum_tp
+    return curve, aps, conf[rank], cum_tp, images
 
 
 def pr_curve(samples, iou_thresh: float = 0.5,
@@ -269,31 +274,26 @@ def load_samples(records: list[ManifestRecord], preds_dir: str,
                  manifest_path: str):
     """Pair each record's predictions with its ground truths.
 
-    Returns (samples, missing): samples[i] is (predictions, gts) for
-    records[i], and missing counts the frames with no prediction file.
-    Ground truth comes from the record's label file (a null label path
-    means no objects). Predictions come from preds_dir/<frame stem>.txt;
-    a missing file means zero predictions, while a missing preds_dir or
-    anything unparseable is a hard error. Duplicate frame stems would
-    silently share one prediction file, so they are rejected.
+    Returns (samples, missing). samples yields (predictions, gts) per
+    record in one pass that reads the record's label file and preds_dir/
+    <frame stem>.txt when it is reached, so errors surface in manifest
+    order, block by block: in evaluate, a degenerate box in an earlier
+    block wins over a bad file in a later one. missing counts the frames
+    with no prediction file, read as none. A missing preds_dir and
+    duplicate frame stems, which would share one file, raise at once.
     """
     names = prediction_filenames(records)
     if not os.path.isdir(preds_dir):
         raise ConfigError(f"predictions directory {preds_dir} is missing")
-    samples = []
-    missing = 0
-    for rec, name in zip(records, names):
-        gts = []
-        if rec.labels is not None:
-            gts = parse_labels(read_text(resolve(manifest_path, rec.labels)))
-        pred_path = os.path.join(preds_dir, name)
-        preds = []
-        if os.path.exists(pred_path):
-            preds = parse_predictions(read_text(pred_path))
-        else:
-            missing += 1
-        samples.append((preds, gts))
-    return samples, missing
+    found = [os.path.exists(os.path.join(preds_dir, n)) for n in names]
+
+    def read(rec, name, exists):
+        gts = ([] if rec.labels is None else
+               parse_labels(read_text(resolve(manifest_path, rec.labels))))
+        path = os.path.join(preds_dir, name)
+        return parse_predictions(read_text(path)) if exists else [], gts
+
+    return map(read, records, names, found), found.count(False)
 
 
 def evaluate(samples, operating_tau: float = DEFAULT_TAU,
@@ -306,19 +306,19 @@ def evaluate(samples, operating_tau: float = DEFAULT_TAU,
     every prediction regardless of the operating threshold.
     """
     check_tau(operating_tau)
-    samples = list(samples)
-    if not samples:
+    curve, aps, conf, cum_tp, images = _sweep(samples, MAP_THRESHOLDS,
+                                              width, height)
+    if not images:
         raise ConfigError("manifest holds no records to evaluate")
     # a mean over nothing is meaningless
-    if not any(preds or gts for preds, gts in samples):
+    if not conf.size and not curve.total_gts:
         raise ConfigError("no ground truths and no predictions to score")
-    curve, aps, conf, cum_tp = _sweep(samples, MAP_THRESHOLDS, width, height)
     # conf >= tau admits a prefix of the ranking, whose TPs cum_tp counts
     kept = int(np.count_nonzero(conf >= operating_tau))
     tp = int(cum_tp[kept - 1]) if kept else 0
     fp, fn = kept - tp, curve.total_gts - tp
     precision, recall = precision_recall(tp, fp, fn)
-    counts = {"images": len(samples), "gts": curve.total_gts, "preds": kept,
+    counts = {"images": images, "gts": curve.total_gts, "preds": kept,
               "tp": tp, "fp": fp, "fn": fn}
     return EvalReport(precision, recall, aps[0], sum(aps) / len(aps), aps,
                       counts, operating_tau, curve)

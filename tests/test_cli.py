@@ -10,7 +10,7 @@ import thermocc
 from thermocc.cli import main
 from thermocc.errors import DataIOError, FrameIOError
 from thermocc.frame import read_frame
-from thermocc.manifest import read_manifest, resolve
+from thermocc.manifest import prediction_filenames, read_manifest, resolve
 from thermocc.synth import DatasetSpec, generate_dataset, occupied_count
 
 from run_tree import tree_files
@@ -607,6 +607,26 @@ def test_missing_prediction_files_are_counted(tmp_path, frontal_dataset,
     assert main([command, "--manifest", frontal_dataset,
                  "--preds", str(preds), "--out", str(tmp_path / "out")]) == 0
     assert "3 of 24 frames have no prediction file" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["eval", "occupancy"])
+def test_bad_label_fails_before_the_missing_prediction_line(
+        tmp_path, frontal_dataset, capsys, command):
+    """load_samples reads the files as its samples are consumed, yet a bad
+    file in the last record still ends the run before any stdout, the
+    line that counts a missing prediction file (the first record's)
+    included."""
+    preds = tmp_path / "preds"
+    main(["detect", "--manifest", frontal_dataset, "--out", str(preds)])
+    records = read_manifest(frontal_dataset)
+    os.remove(preds / prediction_filenames(records)[0])
+    with open(resolve(frontal_dataset, records[-1].labels), "w") as fh:
+        fh.write("0 0.5 0.5 0.25\n")
+    capsys.readouterr()
+    assert main([command, "--manifest", frontal_dataset,
+                 "--preds", str(preds), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: line 1: expected 5 fields, got 4\n")
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):

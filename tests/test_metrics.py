@@ -443,6 +443,7 @@ def test_evaluate_perfect(tmp_path):
     }
     records, preds_dir, manifest_path = write_eval_fixture(tmp_path, preds)
     samples, missing = load_samples(records, preds_dir, manifest_path)
+    samples = list(samples)  # read twice: by evaluate and by pr_curve
     assert missing == 0
     report = evaluate(samples, operating_tau=0.9)
     assert report.precision == 1.0
@@ -492,6 +493,45 @@ def test_evaluate_rejects_duplicate_stems(tmp_path):
     dupe = records + [ManifestRecord("other/f0.pgm", None, False, 99)]
     with pytest.raises(ConfigError):
         load_samples(dupe, preds_dir, manifest_path)
+
+
+def test_evaluate_holds_a_block_of_loaded_boxes(tmp_path):
+    """evaluate over load_samples reads each record's files as the sweep
+    reaches it, so its memory follows the block: over 2000 images of 0-6
+    gts, each with a jittered prediction, about six blocks, the peak
+    stays under 200 bytes a box, records and the curve included. Holding
+    every parsed box as objects takes about 450."""
+    rng = random.Random(31)
+    (tmp_path / "labels").mkdir()
+    (tmp_path / "preds").mkdir()
+    records, boxes = [], 0
+    u = rng.uniform
+    for i in range(2000):
+        gts = [GroundTruthBox(0, NormalizedBox(u(0.2, 0.8), u(0.2, 0.8),
+                                               u(0.05, 0.3), u(0.05, 0.3)))
+               for _ in range(rng.randint(0, 6))]
+        preds = [Detection(0, NormalizedBox(
+            g.box.cx + u(-0.02, 0.02), g.box.cy + u(-0.02, 0.02), g.box.w,
+            g.box.h), round(u(0, 1), 2)) for g in gts]
+        (tmp_path / "labels" / f"f{i}.txt").write_text(serialize_labels(gts))
+        (tmp_path / "preds" / f"f{i}.txt").write_text(
+            serialize_predictions(preds))
+        records.append(ManifestRecord(f"f{i}.pgm", f"labels/f{i}.txt",
+                                      bool(gts), i))
+        boxes += 2 * len(gts)
+    manifest_path = str(tmp_path / "manifest.jsonl")
+    write_manifest(manifest_path, records)
+    assert boxes > 5 * metrics._BLOCK_BOXES
+    tracemalloc.start()
+    try:
+        report = evaluate(load_samples(records, str(tmp_path / "preds"),
+                                       manifest_path)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.counts["images"] == 2000
+    assert report.counts["gts"] == boxes // 2
+    assert peak < 200 * boxes
 
 
 def test_report_json_schema(tmp_path):

@@ -499,7 +499,8 @@ def test_evaluate_holds_a_block_of_loaded_boxes(tmp_path):
     """evaluate over load_samples reads each record's files as the sweep
     reaches it, so its memory follows the block: over 2000 images of 0-6
     gts, each with a jittered prediction, about six blocks, the peak
-    stays under 200 bytes a box, records and the curve included. Holding
+    stays under 220 bytes a box, records and the curve included. Python
+    3.11 takes about 140; older Pythons' objects are larger. Holding
     every parsed box as objects takes about 450."""
     rng = random.Random(31)
     (tmp_path / "labels").mkdir()
@@ -531,7 +532,7 @@ def test_evaluate_holds_a_block_of_loaded_boxes(tmp_path):
         tracemalloc.stop()
     assert report.counts["images"] == 2000
     assert report.counts["gts"] == boxes // 2
-    assert peak < 200 * boxes
+    assert peak < 220 * boxes
 
 
 def test_report_json_schema(tmp_path):

@@ -33,10 +33,9 @@ from .split import (DEFAULT_FRACTIONS, SplitFractions, stratified_split,
                     verify_ratio)
 from .synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                     MIXED_SCENARIOS, DatasetSpec, generate_dataset,
-                    make_dataset_dirs, manifest_records, occupied_count,
-                    plan_dataset, write_planned_frame)
-from .util import (fork_map, make_dirs, staged_dir, write_text,
-                   write_text_atomic)
+                    manifest_records, occupied_count, plan_dataset,
+                    write_dataset)
+from .util import make_dirs, staged_dir, write_text, write_text_atomic
 
 
 def _apply_env_seed(args) -> None:
@@ -109,16 +108,15 @@ def _write_split(records, assignment, manifest_path: str, out_dir: str):
     return report
 
 
-def _pipeline_frame(spec, dataset_dir: str, preds_dir: str, test, planned):
-    """Write a planned frame, and a test frame's predictions; returns a test
-    frame's (predictions, gts) as `eval` reads them back, else None. The
-    codec is lossless: detecting on the frame equals detecting on its file."""
-    index, scenario = planned
-    frame, labels = write_planned_frame(spec, index, scenario, dataset_dir)
+def _detect_test_frame(preds_dir: str, test, index, rec, frame, labels):
+    """pipeline's follow-up to each written frame: for a test frame, write
+    its predictions and return its (predictions, gts) as `eval` reads them
+    back, else None. The codec is lossless: detecting on the frame equals
+    detecting on its file."""
     if index not in test:
         return None
     text = serialize_predictions(detect_blobs(frame, DEFAULT_CONFIG))
-    name, = prediction_filenames(manifest_records(spec, [planned]))
+    name, = prediction_filenames([rec])
     write_text(os.path.join(preds_dir, name), text)
     return parse_predictions(text), parse_labels(labels)
 
@@ -233,15 +231,13 @@ def cmd_pipeline(args) -> int:
     if not assignment.test:
         raise ConfigError("the split leaves the test subset empty")
     with stage as work:
-        dataset_dir = os.path.join(work, "dataset")
         preds_dir = os.path.join(work, "preds")
-        manifest_path = make_dataset_dirs(dataset_dir, records)
         make_dirs(preds_dir)
-        results = fork_map(functools.partial(
-            _pipeline_frame, spec, dataset_dir, preds_dir,
-            frozenset(assignment.test)), plans, args.threads)
+        manifest_path, results = write_dataset(
+            spec, plans, records, os.path.join(work, "dataset"), args.threads,
+            functools.partial(_detect_test_frame, preds_dir,
+                              frozenset(assignment.test)))
         samples = [results[i] for i in assignment.test]
-        write_manifest(manifest_path, records)
         print(f"dataset: {len(records)} frames under "
               f"{os.path.join(args.out, 'dataset')}")
 

@@ -262,39 +262,40 @@ def manifest_records(spec: DatasetSpec, frames) -> list[ManifestRecord]:
             for i, s in frames]
 
 
-def write_planned_frame(spec: DatasetSpec, index: int, scenario: int | None,
-                        out_dir: str) -> tuple[ThermalFrame, str]:
-    """Render frame index into out_dir's frames/ and labels/, which must
-    exist; returns the frame and its label text, blank for an empty frame."""
-    rec, = manifest_records(spec, [(index, scenario)])
+def _write_planned_frame(spec: DatasetSpec, out_dir: str, then, planned):
+    """Render and write one (index, scenario) pair; returns then(index,
+    record, frame, label text), or None without then. The 24 KB frame
+    itself is never sent back from a worker."""
+    index, scenario = planned
+    rec, = manifest_records(spec, [planned])
     frame, gts = render_frame(spec, index, scenario)
     labels = serialize_labels(gts)
     write_frame(os.path.join(out_dir, rec.frame), frame)
     write_text(os.path.join(out_dir, rec.labels), labels)
-    return frame, labels
+    return None if then is None else then(index, rec, frame, labels)
 
 
-def _write_frame(spec: DatasetSpec, out_dir: str, frame) -> None:
-    """write_planned_frame for a worker: it sends no 24 KB frame back."""
-    write_planned_frame(spec, *frame, out_dir)
-
-
-def make_dataset_dirs(out_dir: str, records: list[ManifestRecord]) -> str:
-    """Make the subdirectories of out_dir that records' frames and labels
-    go in; returns the path of out_dir's manifest."""
-    for sub in {os.path.dirname(path) for rec in records
-                for path in (rec.frame, rec.labels)}:
+def write_dataset(spec: DatasetSpec, plans, records: list[ManifestRecord],
+                  out_dir: str, workers: int, then=None) -> tuple[str, list]:
+    """The dataset stage: write the plan's (index, scenario) pairs, whose
+    records are given, into out_dir's frames/ and labels/ on up to workers
+    processes, then its manifest.jsonl. Returns the manifest's path and,
+    in plan order, what then returned for each pair in the process that
+    wrote it (None without then; then must be a picklable module-level
+    function or partial). Each frame draws from its own (seed, index)
+    stream, so util.fork_map writes them in any order and process."""
+    for sub in ("frames", "labels"):
         make_dirs(os.path.join(out_dir, sub))
-    return os.path.join(out_dir, "manifest.jsonl")
+    results = fork_map(functools.partial(_write_planned_frame, spec, out_dir,
+                                         then), plans, workers)
+    manifest_path = os.path.join(out_dir, "manifest.jsonl")
+    write_manifest(manifest_path, records)
+    return manifest_path, results
 
 
 def generate_dataset(spec: DatasetSpec, out_dir: str) -> str:
-    """Write spec's frames/, labels/ and manifest.jsonl; returns its path.
-    Each frame draws from its own (seed, index) stream, so util.fork_map
-    writes them in any order and process, before the manifest."""
+    """Write spec's frames/, labels/ and manifest.jsonl, one worker per
+    usable CPU; returns the manifest's path."""
     plans = list(enumerate(plan_dataset(spec)))
-    records = manifest_records(spec, plans)
-    manifest_path = make_dataset_dirs(out_dir, records)
-    fork_map(functools.partial(_write_frame, spec, out_dir), plans, len(plans))
-    write_manifest(manifest_path, records)
-    return manifest_path
+    return write_dataset(spec, plans, manifest_records(spec, plans), out_dir,
+                         len(plans))[0]

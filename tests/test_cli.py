@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -368,6 +369,36 @@ def test_worker_write_error_reaches_caller(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / f"t{threads}")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame_000001.pgm" in err
+
+
+def test_worker_prediction_write_error_reaches_caller(tmp_path, capsys,
+                                                     monkeypatch):
+    """A test frame's prediction file that cannot be written, by the
+    follow-up that runs where the frame was written, fails the run with
+    exit 1 and one error line naming the file, and leaves no --out."""
+    argv = ["pipeline", "--frames", "40"]
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    name = sorted(os.listdir(tmp_path / "ok" / "preds"))[1]
+    shutil.rmtree(tmp_path / "ok")
+    capsys.readouterr()
+    write_text = thermocc.cli.write_text
+
+    def full_disk_for_one_prediction(path, text):
+        if path.endswith(os.path.join("preds", name)):
+            raise DataIOError(f"cannot write {path}: disk full")
+        write_text(path, text)
+
+    monkeypatch.setattr(thermocc.cli, "write_text",
+                        full_disk_for_one_prediction)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads,
+                            "--out", str(tmp_path / f"t{threads}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert os.path.join("preds", name) in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_write_error_reaches_caller(tmp_path, capsys, monkeypatch):

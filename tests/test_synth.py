@@ -17,7 +17,7 @@ from thermocc.synth import (DEFAULT_OCCUPIED_FRACTION, FRONTAL_SCENARIOS,
                             HEAD_PEAK, MIXED_SCENARIOS, DatasetSpec, Scenario,
                             _Head, _occlusion_cut, generate_dataset,
                             occupied_count, manifest_records, plan_dataset,
-                            render_frame)
+                            render_frame, write_dataset)
 
 from oracle import OracleScaleError, oracle_match
 from run_tree import tree_files
@@ -322,6 +322,38 @@ def test_generate_dataset_forks_on_every_call(tmp_path, monkeypatch):
                          str(tmp_path / f"run{run}"))
         assert threading.active_count() == baseline
     assert starts == [baseline] * 4
+
+
+def _index_and_pid(index, rec, frame, labels):
+    return index, os.getpid()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_write_dataset_returns_follow_ups_in_plan_order(tmp_path, monkeypatch,
+                                                        cpus):
+    """The stage returns its follow-up's result for each pair in plan
+    order, from the process that wrote the frame: forked workers at 2
+    usable CPUs, this process at 1. Without a follow-up it returns None
+    per pair and writes the same bytes."""
+    _usable_cpus(monkeypatch, cpus)
+    spec = DatasetSpec(frames=9, seed=3)
+    plans = list(enumerate(plan_dataset(spec)))
+    records = manifest_records(spec, plans)
+    manifest, results = write_dataset(spec, plans, records, str(tmp_path / "a"),
+                                      len(plans), _index_and_pid)
+    assert manifest == str(tmp_path / "a" / "manifest.jsonl")
+    assert read_manifest(manifest) == records
+    assert [index for index, _ in results] == list(range(9))
+    pids = {pid for _, pid in results}
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+    _, results = write_dataset(spec, plans, records, str(tmp_path / "b"),
+                               len(plans))
+    assert results == [None] * 9
+    assert (dict(tree_files(str(tmp_path / "b")))
+            == dict(tree_files(str(tmp_path / "a"))))
 
 
 def test_scenario_presets():
